@@ -29,7 +29,6 @@ INTERESTING = (
     "server.lost",
     "server.retransmit",
     "server.tlp_probe",
-    "client.new_data",
     "server.cwnd_reduce",
 )
 

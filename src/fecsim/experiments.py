@@ -327,13 +327,11 @@ def run_transfer(
         config,
         request_size=size_bytes,
         trace=trace.connection_tracer("client") if trace else None,
-        label="client",
     )
     server = Connection(
         "server",
         config,
         trace=trace.connection_tracer("server") if trace else None,
-        label="server",
     )
     client_host = Host(sim, client, "client")
     server_host = Host(sim, server, "server")

@@ -20,6 +20,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from . import framework
 from .framework import (
     FEC_FRAME_TYPE,
     FecFrame,
@@ -101,17 +102,7 @@ def encode_frame(frame: Frame) -> bytes:
     if isinstance(frame, HandshakeFrame):
         return _HANDSHAKE.pack(FRAME_HANDSHAKE, frame.round)
     if isinstance(frame, FecFrame):
-        header = struct.pack(
-            ">BHBQBBH",
-            FEC_FRAME_TYPE,
-            (len(frame.payload) << 1) | int(frame.fin),
-            frame.chunk_offset,
-            frame.repair_id,
-            frame.nss,
-            frame.nrs,
-            0,
-        )
-        return header + frame.payload
+        return framework.encode_fec_frame(frame)
     raise TypeError(f"cannot encode {type(frame).__name__}")
 
 

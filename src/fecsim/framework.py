@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .schemes import (
     SCHEME_XOR,
     BlockCodeParams,
     ConvolutionalParams,
-    RepairSymbol,
     frame_symbol,
     unframe_symbol,
 )
@@ -107,32 +106,6 @@ def split_repair_id(raw: int) -> tuple[int, int]:
     return (raw >> 32) & 0xFFFFFFFF, raw & 0xFFFFFFFF
 
 
-class SourceIdSequence:
-    """Deterministic source-id assignment.
-
-    Block mode increments the offset and rolls the block number when the
-    offset reaches k; convolutional mode is a plain 32-bit counter.
-    """
-
-    def __init__(self, mode: str, k: int = 1):
-        if mode not in ("block", "convolutional"):
-            raise ValueError(f"unknown id mode {mode!r}")
-        self.mode = mode
-        self.k = k
-        self._counter = 0
-
-    def next(self) -> int:
-        if self.mode == "convolutional":
-            if self._counter >= 1 << 32:
-                raise IdSpaceExhausted("32-bit sequence space exhausted")
-            raw = self._counter
-        else:
-            block, offset = divmod(self._counter, self.k)
-            raw = block_source_id(block, offset)
-        self._counter += 1
-        return raw
-
-
 # ---------------------------------------------------------------------------
 # Repair frame wire format
 
@@ -146,10 +119,6 @@ class FecFrame:
     nss: int
     nrs: int
     payload: bytes
-
-    @property
-    def data_length(self) -> int:
-        return len(self.payload)
 
 
 def chunk_frames(
@@ -195,7 +164,7 @@ def encode_fec_frame(frame: FecFrame) -> bytes:
     return (
         _HEADER.pack(
             FEC_FRAME_TYPE,
-            (frame.data_length << 1) | int(frame.fin),
+            (len(frame.payload) << 1) | int(frame.fin),
             frame.chunk_offset,
             frame.repair_id,
             frame.nss,
@@ -204,20 +173,6 @@ def encode_fec_frame(frame: FecFrame) -> bytes:
         )
         + frame.payload
     )
-
-
-def serialize_fec_frames(
-    payload: bytes,
-    repair_id: int,
-    nss: int,
-    nrs: int,
-    max_frame_payload: int,
-) -> list[bytes]:
-    """Wire-ready bytes for every chunk of one repair symbol."""
-    return [
-        encode_fec_frame(f)
-        for f in chunk_frames(payload, repair_id, nss, nrs, max_frame_payload)
-    ]
 
 
 def parse_fec_frame(buf: bytes, offset: int = 0) -> tuple[FecFrame, int]:
@@ -273,7 +228,7 @@ class SenderFec:
         self.symbol_size = symbol_size
         self.pending: list[PendingRepair] = []
         self._pending_id: Optional[int] = None
-        self._staged_params = None
+        self._counter = 0  # sources committed so far; the RLC source id
         if scheme in (SCHEME_XOR, SCHEME_REED_SOLOMON):
             if not isinstance(config, BlockCodeParams):
                 raise schemes.InvalidParams("block scheme needs BlockCodeParams")
@@ -283,7 +238,6 @@ class SenderFec:
             self.lanes = 1
             self._lane_symbols: list[list[np.ndarray]] = [[]]
             self._lane_blocks: list[int] = [0]
-            self._counter = 0
         elif scheme == SCHEME_RLC:
             if not isinstance(config, ConvolutionalParams):
                 raise schemes.InvalidParams("RLC needs ConvolutionalParams")
@@ -292,7 +246,6 @@ class SenderFec:
                     "k, n-k and the window must fit the 8-bit frame fields"
                 )
             self.params = config
-            self._ids = SourceIdSequence("convolutional")
             self._window: list[tuple[int, np.ndarray]] = []
             self._since_step = 0
             self._repair_counter = 0
@@ -310,21 +263,6 @@ class SenderFec:
         self._lane_symbols = [[] for _ in range(lanes)]
         self._lane_blocks = [0] * lanes
 
-    def set_code_params(self, params) -> None:
-        """Stage new code parameters; they apply from the next block or
-        window step, in-flight blocks complete under the old ones."""
-        if self.scheme == SCHEME_RLC:
-            if not isinstance(params, ConvolutionalParams):
-                raise schemes.InvalidParams("RLC needs ConvolutionalParams")
-            if params.k > 255 or params.repairs > 255 or params.c > 255:
-                raise schemes.InvalidParams("parameters must fit 8 bits")
-        else:
-            if not isinstance(params, BlockCodeParams):
-                raise schemes.InvalidParams("block scheme needs BlockCodeParams")
-            if params.k > 255 or params.repairs > 255:
-                raise schemes.InvalidParams("parameters must fit 8 bits")
-        self._staged_params = params
-
     # -- source registration --------------------------------------------
 
     def next_source_id(self) -> int:
@@ -332,7 +270,9 @@ class SenderFec:
         if self._pending_id is not None:
             raise FecFrameworkError("previous source id was never committed")
         if self.scheme == SCHEME_RLC:
-            raw = self._ids.next()
+            if self._counter >= 1 << 32:
+                raise IdSpaceExhausted("32-bit sequence space exhausted")
+            raw = self._counter
         else:
             lane = self._counter % self.lanes
             block = self._lane_blocks[lane] * self.lanes + lane
@@ -347,6 +287,7 @@ class SenderFec:
         self._pending_id = None
         symbol = frame_symbol(packet_bytes, self.symbol_size)
         if self.scheme == SCHEME_RLC:
+            self._counter += 1
             self._window.append((raw_id, symbol))
             if len(self._window) > self.params.c:
                 self._window.pop(0)
@@ -399,15 +340,11 @@ class SenderFec:
             )
         self._lane_symbols[lane] = []
         self._lane_blocks[lane] += 1
-        if self._staged_params is not None and not any(self._lane_symbols):
-            self.params = self._staged_params
-            self._staged_params = None
 
     def _emit_window_repairs(self) -> None:
         self._since_step = 0
-        window = self._window[-self.params.c :]
-        window_start = window[0][0]
-        symbols = [sym for _, sym in window]
+        window_start = self._window[0][0]
+        symbols = [sym for _, sym in self._window]
         for _ in range(self.params.repairs):
             seed = self._next_seed()
             repair = schemes.rlc_encode(symbols, window_start, seed)
@@ -419,12 +356,6 @@ class SenderFec:
                     nrs=self.params.repairs,
                 )
             )
-        if self._staged_params is not None:
-            new = self._staged_params
-            self._staged_params = None
-            self.params = new
-            if len(self._window) > new.c:
-                self._window = self._window[-new.c :]
 
     def _next_seed(self) -> int:
         self._repair_counter += 1

@@ -47,11 +47,6 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _EXP, _LOG, _MUL = _build_tables()
 
 
-def gf_add(a: int, b: int) -> int:
-    """Field addition (== subtraction): XOR."""
-    return a ^ b
-
-
 def gf_mul(a: int, b: int) -> int:
     """Field multiplication via the product table."""
     return int(_MUL[a, b])
@@ -71,11 +66,6 @@ def gf_inv(a: int) -> int:
     if a == 0:
         raise InversionOfZero("0 has no multiplicative inverse in GF(256)")
     return int(_EXP[255 - _LOG[a]])
-
-
-def scale_row(coeff: int, row: np.ndarray) -> np.ndarray:
-    """coeff * row elementwise over GF(256)."""
-    return _MUL[coeff][row]
 
 
 def addmul_row(acc: np.ndarray, coeff: int, row: np.ndarray) -> None:

@@ -1,6 +1,6 @@
-"""Erasure-coding schemes over GF(256): XOR with lane interleaving, a
-systematic Reed-Solomon block code, and a sliding-window random linear
-code (RLC).
+"""Erasure-coding schemes over GF(256): XOR parity, a systematic
+Reed-Solomon block code, and a sliding-window random linear code (RLC).
+Lane interleaving of XOR blocks is scheduled in :mod:`fecsim.framework`.
 
 All schemes operate on fixed-width symbols.  A symbol is the original
 packet bytes behind a 2-byte big-endian true-length prefix, zero padded
@@ -10,9 +10,9 @@ packets byte-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -22,12 +22,6 @@ from .rng import xorshift32
 SCHEME_XOR = 0x01
 SCHEME_REED_SOLOMON = 0x02
 SCHEME_RLC = 0x03
-
-SCHEME_NAMES = {
-    SCHEME_XOR: "xor",
-    SCHEME_REED_SOLOMON: "reed-solomon",
-    SCHEME_RLC: "rlc",
-}
 
 #: Symbol width that fits a 1200-byte packet: 2-byte length prefix,
 #: payload, 6 spare bytes, rounded to a multiple of 8.
@@ -156,13 +150,6 @@ def xor_recover(
         if sym is not None:
             acc ^= sym
     return acc
-
-
-def interleave_lane(source_index: int, lanes: int) -> int:
-    """Lane assignment for interleaved XOR blocks."""
-    if lanes < 1:
-        raise InvalidParams(f"lanes must be >= 1, got {lanes}")
-    return source_index % lanes
 
 
 # ---------------------------------------------------------------------------

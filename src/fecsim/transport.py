@@ -55,7 +55,15 @@ PACKET_REORDER_THRESHOLD = 3
 HOLE_TIME_FRACTION = 8  # a hole older than srtt/8 declares the packet lost
 TLP_SRTT_MULTIPLIER = 2
 INITIAL_RTT_US = 100_000
+INITIAL_CWND_PACKETS = 10
+MIN_CWND_PACKETS = 2
 ACK_RANGE_CAP = 32
+# stream data per packet: a protected packet holding one stream frame
+STREAM_BUDGET = MAX_PACKET_SIZE - PROTECTED_HEADER_LEN - STREAM_FRAME_OVERHEAD
+# repair chunk per packet: an unprotected packet holding one repair frame
+REPAIR_CHUNK_BUDGET = (
+    MAX_PACKET_SIZE - PACKET_HEADER_LEN - framework.FEC_FRAME_HEADER_LEN
+)
 
 STRATEGY_RECOVERED_FRAME = "recovered_frame"
 STRATEGY_SILENT_ACK = "silent_ack"
@@ -68,7 +76,9 @@ RECOVERED_STRATEGIES = (
 
 
 class ProtocolViolation(Exception):
-    """The peer referenced packets this endpoint never sent."""
+    """The peer sent something the protocol forbids: references to packets
+    this endpoint never sent, a malformed request or corrupted stream
+    bytes."""
 
 
 def pattern_bytes(offset: int, n: int) -> bytes:
@@ -119,14 +129,7 @@ class FecConfig:
 @dataclass(frozen=True)
 class ConnectionConfig:
     fec: Optional[FecConfig] = None
-    protect_outgoing: bool = True
     recovered_strategy: str = STRATEGY_RECOVERED_FRAME
-    max_packet_size: int = MAX_PACKET_SIZE
-    initial_cwnd_packets: int = 10
-    min_cwnd_packets: int = 2
-    initial_rtt_us: int = INITIAL_RTT_US
-    flow_window: int = 16 * 1024 * 1024
-    verify_data: bool = True
 
     def __post_init__(self) -> None:
         if self.recovered_strategy not in RECOVERED_STRATEGIES:
@@ -184,33 +187,24 @@ class RangeSet:
 
 
 class RttEstimator:
-    """Exponentially smoothed RTT (gains 1/8 and 1/4); the first sample
+    """Exponentially smoothed RTT (gain 1/8); the first sample
     replaces the initial estimate outright."""
 
     def __init__(self, initial_us: int = INITIAL_RTT_US):
         self._srtt = float(initial_us)
-        self._rttvar = initial_us / 2.0
-        self.latest = 0
         self.has_sample = False
 
     def add_sample(self, rtt_us: int) -> None:
         rtt_us = max(1, rtt_us)
-        self.latest = rtt_us
         if not self.has_sample:
             self.has_sample = True
             self._srtt = float(rtt_us)
-            self._rttvar = rtt_us / 2.0
         else:
-            self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - rtt_us)
             self._srtt = 0.875 * self._srtt + 0.125 * rtt_us
 
     @property
     def srtt_us(self) -> int:
         return int(self._srtt)
-
-    @property
-    def rttvar_us(self) -> int:
-        return int(self._rttvar)
 
 
 class NewReno:
@@ -223,12 +217,16 @@ class NewReno:
     window while recovery lasts.
     """
 
-    def __init__(self, max_packet: int, initial_packets: int = 10, min_packets: int = 2):
+    def __init__(
+        self,
+        max_packet: int,
+        initial_packets: int = INITIAL_CWND_PACKETS,
+        min_packets: int = MIN_CWND_PACKETS,
+    ):
         self.max_packet = max_packet
         self.min_window = float(min_packets * max_packet)
         self.cwnd = float(initial_packets * max_packet)
         self.ssthresh = math.inf
-        self.reductions: list[tuple[int, float]] = []
         self._recovery_start: float = -1.0
 
     @property
@@ -250,7 +248,6 @@ class NewReno:
         self._recovery_start = now_us
         self.ssthresh = max(self.cwnd / 2.0, self.min_window)
         self.cwnd = self.ssthresh
-        self.reductions.append((now_us, self.cwnd))
         return True
 
 
@@ -303,7 +300,6 @@ class RecvStream:
         self.final_size: Optional[int] = None
         self._expect_fn = expect_fn
         self.data: Optional[bytearray] = bytearray() if keep_data else None
-        self.buffered_bytes = 0
 
     @property
     def complete(self) -> bool:
@@ -320,14 +316,12 @@ class RecvStream:
         if offset in self._segments:
             return
         self._segments[offset] = data
-        self.buffered_bytes += len(data)
         while self.cursor in self._segments:
             chunk = self._segments.pop(self.cursor)
-            self.buffered_bytes -= len(chunk)
             if self._expect_fn is not None:
                 expected = self._expect_fn(self.cursor, len(chunk))
                 if chunk != expected:
-                    raise AssertionError(
+                    raise ProtocolViolation(
                         f"stream corruption at offset {self.cursor}"
                     )
             if self.data is not None:
@@ -374,7 +368,6 @@ class Connection:
         *,
         request_size: Optional[int] = None,
         trace: Optional[Callable[[str, Optional[int], str], None]] = None,
-        label: str = "",
     ):
         if role not in ("client", "server"):
             raise ValueError(f"role must be client or server, got {role!r}")
@@ -382,13 +375,12 @@ class Connection:
             raise ValueError("a client connection needs a request size")
         self.role = role
         self.config = config
-        self.label = label or role
         self.request_size = request_size
         self.stats = Stats()
         self._trace_fn = trace
 
         self._strategy = config.recovered_strategy
-        symbol_size = symbol_size_for(config.max_packet_size)
+        symbol_size = symbol_size_for(MAX_PACKET_SIZE)
         self._sender_fec: Optional[SenderFec] = None
         self._receiver_fec: Optional[ReceiverFec] = None
         if config.fec is not None:
@@ -409,12 +401,8 @@ class Connection:
         self._repair_frames: deque[FecFrame] = deque()
         self._probe_frames: Optional[list] = None
         self._send_stream: Optional[SendStream] = None
-        self._cc = NewReno(
-            config.max_packet_size,
-            config.initial_cwnd_packets,
-            config.min_cwnd_packets,
-        )
-        self._rtt = RttEstimator(config.initial_rtt_us)
+        self._cc = NewReno(MAX_PACKET_SIZE)
+        self._rtt = RttEstimator()
         self._hole_since: dict[int, int] = {}
         self._tlp_anchor: Optional[int] = None
 
@@ -425,9 +413,7 @@ class Connection:
         self._recovered_carriers: dict[int, frozenset] = {}
         self._ack_queued = False
         self._recv_stream = RecvStream(
-            expect_fn=pattern_bytes
-            if role == "client" and config.verify_data
-            else None,
+            expect_fn=pattern_bytes if role == "client" else None,
             keep_data=role == "server",
         )
         self._peer_stream_done = False
@@ -443,10 +429,6 @@ class Connection:
         return self._cc.cwnd
 
     @property
-    def cc(self) -> NewReno:
-        return self._cc
-
-    @property
     def rtt(self) -> RttEstimator:
         return self._rtt
 
@@ -455,28 +437,9 @@ class Connection:
         return self._bytes_in_flight
 
     @property
-    def handshake_done(self) -> bool:
-        return self._handshake_done
-
-    @property
     def received_bytes(self) -> int:
         """Contiguously delivered stream bytes."""
         return self._recv_stream.cursor
-
-    @property
-    def received_packet_ranges(self) -> list[tuple[int, int]]:
-        return self._received_pns.ranges()
-
-    @property
-    def sender_done(self) -> bool:
-        """All stream data sent and acknowledged."""
-        stream = self._send_stream
-        return (
-            stream is not None
-            and stream.fin_sent
-            and not self._retransmit
-            and not self._sent
-        )
 
     def _trace(self, event: str, pn: Optional[int], detail: str = "") -> None:
         if self._trace_fn is not None:
@@ -706,7 +669,7 @@ class Connection:
             and self._send_stream.has_pending
             and self._handshake_done
         ):
-            self._probe_frames = [self._send_stream.next_frame(self._stream_budget())]
+            self._probe_frames = [self._send_stream.next_frame(STREAM_BUDGET)]
             self.stats.probe_packets += 1
             self._trace("tlp_probe", None, "new_data")
         else:
@@ -740,16 +703,7 @@ class Connection:
         return out
 
     def _cwnd_ok(self) -> bool:
-        return (
-            self._bytes_in_flight + self.config.max_packet_size <= self._cc.cwnd
-        )
-
-    def _stream_budget(self) -> int:
-        return (
-            self.config.max_packet_size
-            - PROTECTED_HEADER_LEN
-            - STREAM_FRAME_OVERHEAD
-        )
+        return self._bytes_in_flight + MAX_PACKET_SIZE <= self._cc.cwnd
 
     def _next_packet(self, now: int) -> Optional[OutPacket]:
         if self._hs_outbox:
@@ -782,18 +736,15 @@ class Connection:
             return self._build(now, [frame], kind, retransmission=True)
         stream = self._send_stream
         if stream is not None and stream.has_pending and self._handshake_done:
-            if stream.next_offset >= self.config.flow_window:
-                return None  # peer flow-control window exhausted
             if not self._cwnd_ok():
                 return None
-            return self._build(now, [stream.next_frame(self._stream_budget())], "stream")
+            return self._build(now, [stream.next_frame(STREAM_BUDGET)], "stream")
         return None
 
     def _maybe_flush_fec(self) -> bool:
         """Close partial coding blocks once the stream has fully drained."""
         if (
             self._sender_fec is None
-            or not self.config.protect_outgoing
             or self._send_stream is None
             or not self._send_stream.fin_sent
             or self._retransmit
@@ -816,35 +767,26 @@ class Connection:
     def _queue_repair_frames(self) -> None:
         if self._sender_fec is None:
             return
-        max_payload = (
-            self.config.max_packet_size
-            - PACKET_HEADER_LEN
-            - framework.FEC_FRAME_HEADER_LEN
-        )
         while self._sender_fec.pending:
             pending = self._sender_fec.pending.pop(0)
             self._repair_frames.extend(
-                framework.chunk_repair(pending, max_payload)
+                framework.chunk_repair(pending, REPAIR_CHUNK_BUDGET)
             )
 
     def _build(
         self, now: int, frames: list, kind: str, retransmission: bool = False
     ) -> OutPacket:
         has_stream = any(isinstance(f, StreamFrame) for f in frames)
-        protect = (
-            has_stream
-            and self._sender_fec is not None
-            and self.config.protect_outgoing
-        )
+        protect = has_stream and self._sender_fec is not None
         pn = self._next_pn
         self._next_pn += 1
         source_id = None
         if protect:
             source_id = self._sender_fec.next_source_id()
         data = encode_packet(Packet(pn, frames, protect, source_id))
-        if len(data) > self.config.max_packet_size:
+        if len(data) > MAX_PACKET_SIZE:
             raise AssertionError(
-                f"built a {len(data)}-byte packet (max {self.config.max_packet_size})"
+                f"built a {len(data)}-byte packet (max {MAX_PACKET_SIZE})"
             )
         if protect:
             self._sender_fec.commit_source(source_id, data)
@@ -888,6 +830,7 @@ def _ranges_of(values: list[int]) -> list[tuple[int, int]]:
 
 def pattern_request_size(request: bytes) -> int:
     """Parse ``GET <n>`` into the response size."""
-    if not request.startswith(b"GET "):
+    digits = request[4:]
+    if not request.startswith(b"GET ") or not digits.isdigit():
         raise ProtocolViolation(f"malformed request {request[:16]!r}")
-    return int(request[4:])
+    return int(digits)

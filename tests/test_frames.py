@@ -1,8 +1,15 @@
 """Transport frame and packet wire encodings."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fecsim.framework import FecFrame, MalformedFrame, encode_fec_frame
+from fecsim.framework import (
+    MAX_CHUNK_PAYLOAD,
+    FecFrame,
+    MalformedFrame,
+    encode_fec_frame,
+)
 from fecsim.frames import (
     MAX_PACKET_SIZE,
     PACKET_HEADER_LEN,
@@ -94,6 +101,44 @@ def test_inverted_ack_range_rejected():
 def test_fec_frame_encoding_delegates_to_framework():
     frame = FecFrame(False, 1, 99, 6, 3, b"\x00\x01")
     assert encode_frame(frame) == encode_fec_frame(frame)
+
+
+U8, U32, U64 = (st.integers(0, (1 << bits) - 1) for bits in (8, 32, 64))
+
+
+def padded_bytes(max_len: int):
+    """Up to ``max_len`` bytes: a random head plus zero padding, so long
+    payloads cost no more to draw than short ones."""
+    return st.builds(
+        lambda head, pad: head + bytes(pad),
+        st.binary(max_size=16),
+        st.integers(0, max_len - 16),
+    )
+
+
+RANGES = st.lists(st.tuples(U64, U64).map(lambda r: tuple(sorted(r))), max_size=40)
+ANY_FRAME = st.one_of(
+    st.builds(StreamFrame, U32, U64, st.booleans(), padded_bytes(0xFFFF)),
+    st.builds(AckFrame, U64, U32, RANGES),
+    st.builds(RecoveredFrame, RANGES),
+    st.builds(HandshakeFrame, U8),
+    st.builds(FecFrame, st.booleans(), U8, U64, U8, U8, padded_bytes(MAX_CHUNK_PAYLOAD)),
+)
+
+
+@settings(deadline=None)
+@given(ANY_FRAME)
+@example(FecFrame(True, 255, (1 << 64) - 1, 255, 255, b"\xa5" * MAX_CHUNK_PAYLOAD))
+@example(FecFrame(False, 0, 0, 0, 0, b""))
+@example(StreamFrame((1 << 32) - 1, (1 << 64) - 1, True, bytes(0xFFFF)))
+@example(AckFrame((1 << 64) - 1, (1 << 32) - 1, [(0, (1 << 64) - 1)]))
+@example(RecoveredFrame([]))
+@example(HandshakeFrame(255))
+def test_frame_roundtrip_at_field_extremes(frame):
+    wire = encode_frame(frame)
+    assert parse_frames(wire) == [frame]
+    if isinstance(frame, FecFrame):
+        assert wire == encode_fec_frame(frame)
 
 
 def test_golden_packet_header():

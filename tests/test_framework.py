@@ -15,7 +15,6 @@ from fecsim.framework import (
     NotAFecFrame,
     ReceiverFec,
     SenderFec,
-    SourceIdSequence,
     UnknownScheme,
     block_repair_id,
     block_source_id,
@@ -23,7 +22,6 @@ from fecsim.framework import (
     conv_repair_id,
     encode_fec_frame,
     parse_fec_frame,
-    serialize_fec_frames,
     split_block_source_id,
     split_repair_id,
 )
@@ -63,17 +61,6 @@ def test_repair_id_packing():
     assert split_repair_id(conv_repair_id(100, 0xDEAD)) == (100, 0xDEAD)
     with pytest.raises(IdSpaceExhausted):
         conv_repair_id(1 << 32, 0)
-
-
-def test_source_id_sequence():
-    seq = SourceIdSequence("block", k=3)
-    assert [seq.next() for _ in range(7)] == [
-        0x0000, 0x0001, 0x0002, 0x0100, 0x0101, 0x0102, 0x0200,
-    ]
-    conv = SourceIdSequence("convolutional")
-    assert [conv.next() for _ in range(4)] == [0, 1, 2, 3]
-    with pytest.raises(ValueError):
-        SourceIdSequence("banana")
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +131,6 @@ def test_chunking_limits():
         chunk_frames(b"", 1, 1, 1, 100)
 
 
-def test_serialize_fec_frames_matches_chunking():
-    payload = bytes(500)
-    wires = serialize_fec_frames(payload, 42, 4, 2, 200)
-    frames = chunk_frames(payload, 42, 4, 2, 200)
-    assert wires == [encode_fec_frame(f) for f in frames]
-
-
 # ---------------------------------------------------------------------------
 # Sender scheduling
 
@@ -176,16 +156,20 @@ def test_sender_rejects_mismatched_config():
 def test_rs_sender_emits_repairs_at_block_completion():
     rnd = random.Random(20)
     sender = make_sender(SCHEME_REED_SOLOMON, BlockCodeParams(6, 4))
+    source_ids = []
     for i in range(3):
-        push_packet(sender, random_packet(rnd))
+        source_ids.append(push_packet(sender, random_packet(rnd)))
         assert sender.pending == []
     assert sender.has_partial
-    push_packet(sender, random_packet(rnd))
+    source_ids.append(push_packet(sender, random_packet(rnd)))
     assert len(sender.pending) == 2
     assert not sender.has_partial
     ids = [split_repair_id(p.repair_id) for p in sender.pending]
     assert [split_block_source_id(hi) for hi, _ in ids] == [(0, 0), (0, 1)]
     assert all((p.nss, p.nrs) == (4, 2) for p in sender.pending)
+    # the offset rolls over into the next block after k sources
+    source_ids += [push_packet(sender, random_packet(rnd)) for _ in range(2)]
+    assert source_ids == [0x0000, 0x0001, 0x0002, 0x0003, 0x0100, 0x0101]
 
 
 def test_rs_sender_flush_closes_partial_block():
@@ -203,13 +187,23 @@ def test_rlc_sender_emits_every_kth_source():
     rnd = random.Random(22)
     sender = make_sender(SCHEME_RLC, ConvolutionalParams(3, 2, 5))
     emitted = []
+    source_ids = []
     for i in range(9):
-        push_packet(sender, random_packet(rnd))
+        source_ids.append(push_packet(sender, random_packet(rnd)))
         emitted.append(len(sender.pending))
+    assert source_ids == list(range(9))  # a plain sequence counter
     assert emitted == [0, 1, 1, 2, 2, 3, 3, 4, 4]
     starts = [split_repair_id(p.repair_id)[0] for p in sender.pending]
     assert starts == [0, 0, 1, 3]  # window slides once it holds c=5 symbols
     assert [p.nss for p in sender.pending] == [2, 4, 5, 5]
+
+
+def test_rlc_source_ids_stop_at_32_bits():
+    sender = make_sender(SCHEME_RLC, ConvolutionalParams(3, 2, 20))
+    sender._counter = (1 << 32) - 1  # skip ahead instead of 4 G pushes
+    assert push_packet(sender, b"last") == 0xFFFFFFFF
+    with pytest.raises(IdSpaceExhausted):
+        sender.next_source_id()
 
 
 def test_rlc_sender_flush_emits_trailing_repair():
@@ -237,21 +231,6 @@ def test_xor_sender_lane_interleaving():
     assert len(sender.pending) == 2  # both lanes completed a block
     with pytest.raises(InvalidParams):
         sender.configure_lanes(4)  # too late, sources already registered
-
-
-def test_sender_staged_params_apply_at_block_boundary():
-    rnd = random.Random(25)
-    sender = make_sender(SCHEME_REED_SOLOMON, BlockCodeParams(6, 4))
-    push_packet(sender, random_packet(rnd))
-    sender.set_code_params(BlockCodeParams(3, 2))
-    for _ in range(3):
-        push_packet(sender, random_packet(rnd))
-    # first block still completed under (6, 4)
-    assert [p.nss for p in sender.pending] == [4, 4]
-    sender.pending.clear()
-    push_packet(sender, random_packet(rnd))
-    push_packet(sender, random_packet(rnd))
-    assert [(p.nss, p.nrs) for p in sender.pending] == [(2, 1)]
 
 
 def test_sender_id_reservation_protocol():

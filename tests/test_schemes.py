@@ -18,7 +18,6 @@ from fecsim.schemes import (
     RlcDecoder,
     Unrecoverable,
     frame_symbol,
-    interleave_lane,
     rlc_coefficients,
     rlc_encode,
     rs_decode,
@@ -112,13 +111,6 @@ def test_xor_errors():
         xor_recover(sources, repair)
     with pytest.raises(Unrecoverable):
         xor_recover([None, None, sources[2]], repair)
-
-
-def test_interleave_lane_round_robin():
-    assert [interleave_lane(i, 4) for i in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
-    assert all(interleave_lane(i, 1) == 0 for i in range(5))
-    with pytest.raises(InvalidParams):
-        interleave_lane(0, 0)
 
 
 # ---------------------------------------------------------------------------
