@@ -1,0 +1,136 @@
+"""Micro-benchmarks of the ACK path and the seed-0 output hashes.
+
+Run from the root of a checkout; fecsim is imported from that checkout's
+``src/``::
+
+    python3 bench/bench.py --out BENCH_3.json
+
+The JSON records:
+
+* ``micro``: the median time of ``Connection._on_ack_frame`` on a
+  300-packet flight with a 32-range ACK, and of ``encode_frame`` and
+  ``parse_frames`` on a 32-range ``AckFrame``;
+* ``outputs``: the sha256 and host time of one ``fecsim run --seed 0``
+  and one ``fecsim fairness --seed 0 --count 1``.  Equal hashes between
+  two checkouts show that a change left the simulated results
+  byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+import timeit
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from fecsim import cli  # noqa: E402
+from fecsim.frames import AckFrame, encode_frame, parse_frames  # noqa: E402
+from fecsim.transport import (  # noqa: E402
+    Connection,
+    ConnectionConfig,
+    MAX_PACKET_SIZE,
+    SentRecord,
+)
+
+FLIGHT = 300
+RANGES = 32
+ACK_REPEATS = 1000
+
+
+def ack_with_gaps() -> AckFrame:
+    """32 ranges of 8 packets over the oldest 287 packets of the flight,
+    with a one-packet hole between neighbours: all 31 holes are lost."""
+    ranges = [(1 + 9 * i, 8 + 9 * i) for i in range(RANGES)]
+    return AckFrame(ranges[-1][1], 0, ranges)
+
+
+def server_with_flight() -> Connection:
+    conn = Connection("server", ConnectionConfig())
+    for pn in range(1, FLIGHT + 1):
+        conn._sent[pn] = SentRecord(pn, 0, MAX_PACKET_SIZE, [], False)
+    conn._next_pn = FLIGHT + 1
+    conn._bytes_in_flight = FLIGHT * MAX_PACKET_SIZE
+    return conn
+
+
+def bench_on_ack_frame() -> dict:
+    ack = ack_with_gaps()
+    samples = []
+    for _ in range(ACK_REPEATS):
+        conn = server_with_flight()
+        start = time.perf_counter_ns()
+        conn._on_ack_frame(ack, 100_000)
+        samples.append((time.perf_counter_ns() - start) / 1000)
+        if conn.stats.lost_packets != RANGES - 1:
+            raise SystemExit("the ACK must declare every hole lost")
+    return {"median_us": statistics.median(samples), "samples": len(samples)}
+
+
+def bench_call(fn, number: int = 2000, repeat: int = 15) -> dict:
+    per_call = [
+        t / number * 1e6 for t in timeit.repeat(fn, number=number, repeat=repeat)
+    ]
+    return {
+        "median_us": statistics.median(per_call),
+        "samples": repeat,
+        "calls_per_sample": number,
+    }
+
+
+def cli_output(argv: list[str]) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        start = time.perf_counter()
+        cli.main(argv + ["--out", out])
+        wall = time.perf_counter() - start
+        with open(out, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+    return {"argv": argv, "sha256": digest, "wall_s": round(wall, 3)}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args()
+
+    ack = ack_with_gaps()
+    wire = encode_frame(ack)
+    if parse_frames(wire) != [ack]:
+        raise SystemExit("the ACK frame does not round-trip")
+    report = {
+        "host": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "micro": {
+            "transport.on_ack_frame_300_flight_32_ranges": bench_on_ack_frame(),
+            "frames.encode_ack_32_ranges": bench_call(lambda: encode_frame(ack)),
+            "frames.parse_ack_32_ranges": bench_call(lambda: parse_frames(wire)),
+        },
+        "outputs": {
+            "run_csv_seed0": cli_output(["run", "--seed", "0"]),
+            "fairness_csv_seed0": cli_output(
+                ["fairness", "--seed", "0", "--count", "1"]
+            ),
+        },
+    }
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    print(json.dumps(report, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

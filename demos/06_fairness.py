@@ -10,10 +10,11 @@ download:
                      background never sees its own losses and crowds the
                      foreground out
 
-The full-size study transfers 10 MB against 16 MB and takes minutes;
-this demo shrinks the flows (the module constants are only read at call
-time) and keeps the qualitative picture: the silent background leaves
-the foreground slowest, the cooperative one does not.  Takes ~30 s.
+The full-size study transfers 10 MB against 16 MB and takes about
+100 s; this demo shrinks the flows (the module constants are only read
+at call time) and keeps the qualitative picture: the silent background
+leaves the foreground slowest, the cooperative one does not.  Takes
+11-13 s on a 2-core VM.
 """
 
 import statistics

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Union
 
 from . import framework
@@ -40,7 +41,7 @@ PACKET_FLAG_FEC_PROTECTED = 0x01
 
 _STREAM_HEADER = struct.Struct(">BIQBH")
 _ACK_HEADER = struct.Struct(">BQIH")
-_RANGE = struct.Struct(">QQ")
+_RANGE_SIZE = 16  # (lo, hi) as two u64
 _RECOVERED_HEADER = struct.Struct(">BH")
 _HANDSHAKE = struct.Struct(">BB")
 
@@ -95,10 +96,10 @@ def encode_frame(frame: Frame) -> bytes:
         out = _ACK_HEADER.pack(
             FRAME_ACK, frame.largest_acked, frame.ack_delay_us, len(frame.ranges)
         )
-        return out + b"".join(_RANGE.pack(lo, hi) for lo, hi in frame.ranges)
+        return out + _pack_ranges(frame.ranges)
     if isinstance(frame, RecoveredFrame):
         out = _RECOVERED_HEADER.pack(FRAME_RECOVERED, len(frame.ranges))
-        return out + b"".join(_RANGE.pack(lo, hi) for lo, hi in frame.ranges)
+        return out + _pack_ranges(frame.ranges)
     if isinstance(frame, HandshakeFrame):
         return _HANDSHAKE.pack(FRAME_HANDSHAKE, frame.round)
     if isinstance(frame, FecFrame):
@@ -106,18 +107,20 @@ def encode_frame(frame: Frame) -> bytes:
     raise TypeError(f"cannot encode {type(frame).__name__}")
 
 
+def _pack_ranges(ranges: list[tuple[int, int]]) -> bytes:
+    return struct.pack(">%dQ" % (2 * len(ranges)), *chain.from_iterable(ranges))
+
+
 def _parse_ranges(buf: bytes, offset: int, count: int) -> tuple[list, int]:
-    need = offset + count * _RANGE.size
+    need = offset + count * _RANGE_SIZE
     if len(buf) < need:
         raise MalformedFrame("truncated range list")
-    ranges = []
-    for _ in range(count):
-        lo, hi = _RANGE.unpack_from(buf, offset)
-        offset += _RANGE.size
+    flat = struct.unpack_from(">%dQ" % (2 * count), buf, offset)
+    ranges = list(zip(flat[::2], flat[1::2]))
+    for lo, hi in ranges:
         if hi < lo:
             raise MalformedFrame(f"inverted range ({lo}, {hi})")
-        ranges.append((lo, hi))
-    return ranges, offset
+    return ranges, need
 
 
 def parse_frames(buf: bytes, offset: int = 0) -> list[Frame]:

@@ -77,8 +77,8 @@ RECOVERED_STRATEGIES = (
 
 class ProtocolViolation(Exception):
     """The peer sent something the protocol forbids: references to packets
-    this endpoint never sent, a malformed request or corrupted stream
-    bytes."""
+    this endpoint never sent, ACK ranges that are not ascending and
+    disjoint, a malformed request or corrupted stream bytes."""
 
 
 def pattern_bytes(offset: int, n: int) -> bytes:
@@ -557,9 +557,16 @@ class Connection:
             raise ProtocolViolation(
                 f"peer acked unsent packet {ack.largest_acked}"
             )
-        newly = [
-            pn for pn in self._sent if _ranges_contain(ack.ranges, pn)
-        ]
+        prev_hi = -1
+        for lo, hi in ack.ranges:
+            if lo <= prev_hi:
+                raise ProtocolViolation(
+                    f"ack range ({lo}, {hi}) is not ascending and disjoint"
+                )
+            prev_hi = hi
+        if prev_hi >= self._next_pn:
+            raise ProtocolViolation(f"peer acked unsent packet {prev_hi}")
+        newly = acked_in_flight(self._sent, ack.ranges)
         if newly:
             largest_new = newly[-1]
             if largest_new == ack.largest_acked:
@@ -575,9 +582,12 @@ class Connection:
                 if carried:
                     self._recovered_pending -= carried
             self._tlp_anchor = now
-        for pn in list(self._sent):
+        below = []
+        for pn in self._sent:
             if pn >= ack.largest_acked:
                 break
+            below.append(pn)
+        for pn in below:
             if ack.largest_acked - pn >= PACKET_REORDER_THRESHOLD:
                 self._declare_lost(pn, now, "reorder_threshold")
             else:
@@ -808,13 +818,41 @@ class Connection:
         return OutPacket(data, pn, kind, protect)
 
 
-def _ranges_contain(ranges: list[tuple[int, int]], pn: int) -> bool:
+def acked_in_flight(
+    sent: dict[int, SentRecord], ranges: list[tuple[int, int]]
+) -> list[int]:
+    """The packet numbers in ``sent`` that the ascending, disjoint ACK
+    ``ranges`` cover, in ascending order.
+
+    ``sent`` is keyed in send order, so its first and last keys bound the
+    flight.  Each range is clipped to those bounds and probed once per
+    packet number, unless it is still wider than the flight (an old range
+    merged by :meth:`RangeSet.prune`); then the flight is filtered
+    instead.  The cost follows the ranges and the acked packets, not
+    flight x ranges.
+    """
+    if not sent:
+        return []
+    first = next(iter(sent))
+    last = next(reversed(sent))
+    flight = len(sent)
+    out: list[int] = []
     for lo, hi in ranges:
-        if lo <= pn <= hi:
-            return True
-        if lo > pn:
-            return False
-    return False
+        if hi < first:
+            continue
+        if lo > last:
+            break
+        lo = max(lo, first)
+        hi = min(hi, last)
+        if hi - lo < flight:
+            out.extend([pn for pn in range(lo, hi + 1) if pn in sent])
+        else:
+            for pn in sent:
+                if pn > hi:
+                    break
+                if pn >= lo:
+                    out.append(pn)
+    return out
 
 
 def _ranges_of(values: list[int]) -> list[tuple[int, int]]:

@@ -2,6 +2,8 @@
 signaling, stream reassembly."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fecsim.frames import (
     AckFrame,
@@ -26,6 +28,7 @@ from fecsim.transport import (
     SendStream,
     STRATEGY_NO_ACK,
     STRATEGY_SILENT_ACK,
+    acked_in_flight,
     pattern_bytes,
     pattern_request_size,
 )
@@ -304,6 +307,67 @@ def test_ack_of_unsent_packet_is_protocol_violation():
     srv, _ = make_server()
     with pytest.raises(ProtocolViolation):
         deliver(srv, Packet(3, [AckFrame(9999, 0, [(9999, 9999)])]), 1000)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["descending", "overlapping", "shared_endpoint", "reaches_unsent"],
+)
+def test_malformed_ack_ranges_are_protocol_violation(shape):
+    srv, stream = make_server()
+    s = [p.packet_number for p in stream]
+    ranges = {
+        "descending": [(s[3], s[4]), (s[0], s[1])],
+        "overlapping": [(1, s[2]), (s[1], s[4])],
+        "shared_endpoint": [(1, s[2]), (s[2], s[4])],
+        # largest_acked is plausible, but the range claims unsent packets
+        "reaches_unsent": [(1, 9999)],
+    }[shape]
+    with pytest.raises(ProtocolViolation):
+        deliver(srv, Packet(3, [AckFrame(s[4], 0, ranges)]), 1000)
+
+
+def _ascending_ranges(draws):
+    """(gap, width) pairs -> ascending, disjoint inclusive ranges."""
+    ranges, hi = [], -1
+    for gap, width in draws:
+        lo = hi + 1 + gap
+        hi = lo + width
+        ranges.append((lo, hi))
+    return ranges
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(0, 300), unique=True).map(sorted),
+    st.lists(
+        st.tuples(st.integers(0, 40), st.integers(0, 400)), max_size=ACK_RANGE_CAP
+    ).map(_ascending_ranges),
+)
+@example([5, 6, 9, 200], [(0, 3)])  # entirely below the oldest packet
+@example([5, 6, 9, 200], [(1, 500)])  # one merged range, wider than the flight
+@example([5, 6, 9, 200], [(0, 5), (7, 8), (9, 9), (10, 199)])
+def test_acked_in_flight_matches_brute_force(flight, ranges):
+    sent = dict.fromkeys(flight)
+    expected = [pn for pn in sent if any(lo <= pn <= hi for lo, hi in ranges)]
+    assert acked_in_flight(sent, ranges) == expected
+
+
+def test_merged_ack_range_wider_than_flight_acks_everything():
+    srv = Connection("server", ConnectionConfig())
+    deliver(srv, Packet(1, [HandshakeFrame(0)]), 0)
+    srv.flush(0)  # handshake (in flight) and an ack-only packet (not)
+    deliver(srv, Packet(2, [StreamFrame(0, 0, True, b"GET 50000")]), 50_000)
+    out = srv.flush(50_000)
+    in_flight = 1 + sum(p.kind == "stream" for p in out)
+    newest = out[-1].packet_number
+    assert newest > in_flight  # the range spans the ack-only packets too
+    deliver(srv, Packet(3, [AckFrame(newest, 0, [(1, newest)])]), 250_000)
+    assert srv.bytes_in_flight == 0
+    assert srv.stats.lost_packets == 0
+    # the sample comes from the newest packet (sent at 50 ms), not the
+    # handshake (sent at 0)
+    assert srv.rtt.srtt_us == 200_000
 
 
 def test_recovered_for_unsent_packet_is_protocol_violation():
