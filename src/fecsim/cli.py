@@ -14,41 +14,27 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from functools import partial
+from typing import Mapping, Optional, Sequence
 
 from . import experiments as xp
 from .netem import GilbertElliottLoss, UniformLoss
 from .transport import RECOVERED_STRATEGIES, STRATEGY_RECOVERED_FRAME
 
 
-def _size_list(text: str) -> dict[str, int]:
-    sizes = {}
-    for label in text.split(","):
-        label = label.strip()
-        if label not in xp.SIZES:
-            known = ",".join(xp.SIZES)
-            raise argparse.ArgumentTypeError(
-                f"unknown size {label!r} (known: {known})"
-            )
-        sizes[label] = xp.SIZES[label]
-    if not sizes:
-        raise argparse.ArgumentTypeError("empty size list")
-    return sizes
-
-
-def _variant_list(text: str) -> dict[str, object]:
-    variants = {}
+def _named_list(table: Mapping[str, object], kind: str, text: str) -> dict:
+    """The entries of ``table`` named in the comma list ``text``, in the
+    order given (the argument type of ``--sizes`` and ``--variants``)."""
+    picked = {}
     for name in text.split(","):
         name = name.strip()
-        if name not in xp.VARIANTS:
-            known = ",".join(xp.VARIANTS)
+        if name not in table:
+            known = ",".join(table)
             raise argparse.ArgumentTypeError(
-                f"unknown variant {name!r} (known: {known})"
+                f"unknown {kind} {name!r} (known: {known})"
             )
-        variants[name] = xp.VARIANTS[name]
-    if not variants:
-        raise argparse.ArgumentTypeError("empty variant list")
-    return variants
+        picked[name] = table[name]
+    return picked
 
 
 def _float_list(text: str) -> list[float]:
@@ -87,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0, help="base seed")
     run.add_argument(
         "--sizes",
-        type=_size_list,
+        type=partial(_named_list, xp.SIZES, "size"),
         default=None,
         help="comma list of transfer sizes (default 1k,10k,50k,1m)",
     )
     run.add_argument(
         "--variants",
-        type=_variant_list,
+        type=partial(_named_list, xp.VARIANTS, "variant"),
         default=None,
         help="comma list of protocol variants (default baseline,rs,rlc)",
     )

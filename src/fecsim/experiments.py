@@ -16,7 +16,7 @@ import random
 import statistics
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 from .netem import (
@@ -100,6 +100,15 @@ def open_output(path: str):
             yield fh
 
 
+def _write_csv(path: str, columns: Sequence[str], rows) -> None:
+    """Write ``rows`` (dicts keyed by column name) under a ``columns``
+    header; a column a row leaves out is written empty."""
+    with open_output(path) as fh:
+        writer = csv.DictWriter(fh, columns, restval="", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
 # Scenarios
 
@@ -121,13 +130,6 @@ class LossSpec:
         if self.kind == "uniform":
             return UniformLoss(self.p, seed=seed)
         return GilbertElliottLoss(self.p, self.r, self.k, self.h, seed=seed)
-
-    def label(self) -> str:
-        if self.kind == "none":
-            return "none"
-        if self.kind == "uniform":
-            return f"uniform(p={self.p:g})"
-        return f"ge(p={self.p:g},r={self.r:g},k={self.k:g},h={self.h:g})"
 
 
 @dataclass(frozen=True)
@@ -294,6 +296,29 @@ class TransferResult:
     trace_text: Optional[str] = None
 
 
+def _attach_transfer(
+    sim: Simulator,
+    network: Network,
+    config: ConnectionConfig,
+    request_size: int,
+    prefix: str = "",
+    trace: Optional[TraceLog] = None,
+) -> tuple[Connection, Connection, Host]:
+    """The client and server of one download, each on a host named
+    ``prefix`` + role, attached to ``network`` as a pair."""
+
+    def tracer(role: str):
+        return trace.connection_tracer(role) if trace else None
+
+    client = Connection(
+        "client", config, request_size=request_size, trace=tracer("client")
+    )
+    server = Connection("server", config, trace=tracer("server"))
+    client_host = Host(sim, client, prefix + "client")
+    network.attach_pair(client_host, Host(sim, server, prefix + "server"))
+    return client, server, client_host
+
+
 def run_transfer(
     scenario: Scenario,
     fec: Optional[FecConfig],
@@ -322,20 +347,9 @@ def run_transfer(
         trace=trace.link_tracer() if trace else None,
     )
     config = ConnectionConfig(fec=fec, recovered_strategy=strategy)
-    client = Connection(
-        "client",
-        config,
-        request_size=size_bytes,
-        trace=trace.connection_tracer("client") if trace else None,
+    client, server, client_host = _attach_transfer(
+        sim, network, config, size_bytes, trace=trace
     )
-    server = Connection(
-        "server",
-        config,
-        trace=trace.connection_tracer("server") if trace else None,
-    )
-    client_host = Host(sim, client, "client")
-    server_host = Host(sim, server, "server")
-    network.attach_pair(client_host, server_host)
     client_host.start()
     try:
         sim.run()
@@ -413,9 +427,8 @@ def run_matrix(
             cell_seed = derive_seed(base_seed, si, zi)
             for variant_name, fec in variants.items():
                 results = []
-                failed = False
-                for rep in range(reps):
-                    try:
+                try:
+                    for rep in range(reps):
                         results.append(
                             run_transfer(
                                 scenario,
@@ -426,29 +439,9 @@ def run_matrix(
                                 max_events=max_events,
                             )
                         )
-                    except SimulationRunaway:
-                        failed = True
-                        break
-                if failed:
-                    records.append(
-                        ExperimentRecord(
-                            scenario=scenario.name,
-                            variant=variant_name,
-                            strategy=strategy,
-                            size_label=size_label,
-                            size_bytes=size_bytes,
-                            seed=cell_seed,
-                            reps=reps,
-                            dct_us=None,
-                            rep_dcts_us=tuple(r.dct_us for r in results),
-                            wire_bytes=0,
-                            retransmissions=0,
-                            recoveries=0,
-                        )
-                    )
-                    continue
-                order = sorted(range(reps), key=lambda i: results[i].dct_us)
-                median = results[order[reps // 2]]
+                    median = sorted(results, key=lambda r: r.dct_us)[reps // 2]
+                except SimulationRunaway:
+                    median = None
                 records.append(
                     ExperimentRecord(
                         scenario=scenario.name,
@@ -458,48 +451,43 @@ def run_matrix(
                         size_bytes=size_bytes,
                         seed=cell_seed,
                         reps=reps,
-                        dct_us=median.dct_us,
+                        dct_us=median.dct_us if median else None,
                         rep_dcts_us=tuple(r.dct_us for r in results),
-                        wire_bytes=median.wire_bytes,
-                        retransmissions=median.retransmissions,
-                        recoveries=median.recoveries,
+                        wire_bytes=median.wire_bytes if median else 0,
+                        retransmissions=median.retransmissions if median else 0,
+                        recoveries=median.recoveries if median else 0,
                     )
                 )
     return records
 
 
-def _record_row(r: ExperimentRecord) -> list:
-    return [
-        RUN_SCHEMA,
-        r.scenario,
-        r.variant,
-        r.strategy,
-        r.size_label,
-        r.size_bytes,
-        r.seed,
-        r.reps,
-        "" if r.dct_us is None else f"{r.dct_us / 1000:.3f}",
-        ";".join(f"{d / 1000:.3f}" for d in r.rep_dcts_us),
-        r.wire_bytes,
-        r.retransmissions,
-        r.recoveries,
-    ]
+def _record_row(r: ExperimentRecord) -> dict:
+    return {
+        "schema": RUN_SCHEMA,
+        "scenario": r.scenario,
+        "variant": r.variant,
+        "strategy": r.strategy,
+        "size": r.size_label,
+        "size_bytes": r.size_bytes,
+        "seed": r.seed,
+        "reps": r.reps,
+        "dct_ms": "" if r.dct_us is None else f"{r.dct_us / 1000:.3f}",
+        "rep_dct_ms": ";".join(f"{d / 1000:.3f}" for d in r.rep_dcts_us),
+        "wire_bytes": r.wire_bytes,
+        "retransmissions": r.retransmissions,
+        "recoveries": r.recoveries,
+    }
 
 
 def write_run_csv(records: Sequence[ExperimentRecord], path: str) -> None:
-    with open_output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RUN_COLUMNS)
-        for r in records:
-            writer.writerow(_record_row(r))
+    _write_csv(path, RUN_COLUMNS, map(_record_row, records))
 
 
 def write_run_json(records: Sequence[ExperimentRecord], path: str) -> None:
     """JSON mirror of the run CSV: a list of objects with the same keys
     and the same string formatting."""
     rows = [
-        dict(zip(RUN_COLUMNS, (str(v) for v in _record_row(r))))
-        for r in records
+        {c: str(row[c]) for c in RUN_COLUMNS} for row in map(_record_row, records)
     ]
     with open_output(path) as fh:
         json.dump(rows, fh, indent=2, sort_keys=False)
@@ -510,6 +498,9 @@ def read_run_csv(path: str) -> list[ExperimentRecord]:
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in RUN_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: unsupported schema, missing {', '.join(missing)}")
         for row in reader:
             if row["schema"] != RUN_SCHEMA:
                 raise ValueError(f"unsupported schema {row['schema']!r}")
@@ -632,56 +623,33 @@ def compare_records(
 
 
 def write_compare_csv(result: CompareResult, path: str) -> None:
-    with open_output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COMPARE_COLUMNS)
-        for p in result.pairs:
-            writer.writerow(
-                [
-                    COMPARE_SCHEMA,
-                    "pair",
-                    p.scenario,
-                    p.size_label,
-                    p.seed,
-                    p.variant_a,
-                    p.variant_b,
-                    f"{p.dct_a_us / 1000:.3f}",
-                    f"{p.dct_b_us / 1000:.3f}",
-                    f"{p.ratio:.6f}",
-                    "",
-                ]
-            )
-        for ratio, fraction in result.ecdf:
-            writer.writerow(
-                [
-                    COMPARE_SCHEMA,
-                    "ecdf",
-                    "",
-                    "",
-                    "",
-                    "",
-                    "",
-                    "",
-                    "",
-                    f"{ratio:.6f}",
-                    f"{fraction:.6f}",
-                ]
-            )
-        writer.writerow(
-            [
-                COMPARE_SCHEMA,
-                "summary",
-                "",
-                "",
-                "",
-                "",
-                "",
-                "",
-                "",
-                f"{result.median_ratio:.6f}",
-                f"{result.fraction_le_one:.6f}",
-            ]
-        )
+    rows = [
+        {
+            "schema": COMPARE_SCHEMA,
+            "record": "pair",
+            "scenario": p.scenario,
+            "size": p.size_label,
+            "seed": p.seed,
+            "variant_a": p.variant_a,
+            "variant_b": p.variant_b,
+            "dct_a_ms": f"{p.dct_a_us / 1000:.3f}",
+            "dct_b_ms": f"{p.dct_b_us / 1000:.3f}",
+            "ratio": f"{p.ratio:.6f}",
+        }
+        for p in result.pairs
+    ]
+    points = [("ecdf", point) for point in result.ecdf]
+    points.append(("summary", (result.median_ratio, result.fraction_le_one)))
+    rows += [
+        {
+            "schema": COMPARE_SCHEMA,
+            "record": record,
+            "ratio": f"{ratio:.6f}",
+            "fraction": f"{fraction:.6f}",
+        }
+        for record, (ratio, fraction) in points
+    ]
+    _write_csv(path, COMPARE_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -708,14 +676,7 @@ class FairnessRun:
     bg_received_bytes: int
 
 
-def fairness_run(
-    background: str,
-    seed: int,
-    *,
-    scenario: Optional[Scenario] = None,
-    queue_packets: int = FAIRNESS_QUEUE_PACKETS,
-    max_events: int = DEFAULT_MAX_EVENTS,
-) -> FairnessRun:
+def fairness_run(background: str, seed: int) -> FairnessRun:
     """One shared-bottleneck contention run.
 
     A background 16 MB download starts at t=0 and saturates the path; a
@@ -737,33 +698,19 @@ def fairness_run(
         )
     else:
         raise ValueError(f"unknown background behaviour {background!r}")
-    if scenario is None:
-        base = PRESETS["mss"]
-        scenario = Scenario(
-            base.name,
-            base.bandwidth_bps,
-            base.one_way_delay_us,
-            LossSpec("none"),
-            queue_packets,
-        )
-    if scenario.loss.kind != "none":
-        raise ValueError("the fairness study runs without random loss")
-    sim = Simulator(max_events=max_events)
-    network = Network(sim, scenario.path(), loss=scenario.loss.make(seed))
+    sim = Simulator()
+    path = replace(PRESETS["mss"].path(), queue_packets=FAIRNESS_QUEUE_PACKETS)
+    network = Network(sim, path)
+    fg_client, _, fg_host = _attach_transfer(
+        sim, network, ConnectionConfig(fec=None), FAIRNESS_FG_SIZE, "fg_"
+    )
+    bg_client, _, bg_host = _attach_transfer(
+        sim, network, bg_config, FAIRNESS_BG_SIZE, "bg_"
+    )
 
-    fg_config = ConnectionConfig(fec=None)
-    fg_client = Connection("client", fg_config, request_size=FAIRNESS_FG_SIZE)
-    fg_server = Connection("server", fg_config)
-    bg_client = Connection("client", bg_config, request_size=FAIRNESS_BG_SIZE)
-    bg_server = Connection("server", bg_config)
-    fg_pair = (Host(sim, fg_client, "fg_client"), Host(sim, fg_server, "fg_server"))
-    bg_pair = (Host(sim, bg_client, "bg_client"), Host(sim, bg_server, "bg_server"))
-    network.attach_pair(*fg_pair)
-    network.attach_pair(*bg_pair)
-
-    bg_pair[0].start()
+    bg_host.start()
     fg_start = FAIRNESS_FG_DELAY_US + derive_seed(seed, 17) % (FAIRNESS_JITTER_US + 1)
-    sim.schedule_at(fg_start, fg_pair[0].start)
+    sim.schedule_at(fg_start, fg_host.start)
     sim.run(stop_when=lambda: fg_client.complete_at_us is not None)
     if fg_client.complete_at_us is None:
         raise SimulationRunaway(
@@ -780,29 +727,23 @@ def fairness_run(
 
 
 def fairness_experiment(
-    base_seed: int = 0,
-    count: int = 9,
-    backgrounds: Sequence[str] = FAIRNESS_BACKGROUNDS,
-    queue_packets: int = FAIRNESS_QUEUE_PACKETS,
+    base_seed: int = 0, count: int = 9
 ) -> tuple[list[FairnessRun], dict[str, float]]:
     """Run the contention study over ``count`` seeds per background;
     returns the runs and the median foreground completion time (us) per
     background behaviour."""
-    runs = []
-    for background in backgrounds:
-        for i in range(count):
-            runs.append(
-                fairness_run(
-                    background,
-                    derive_seed(base_seed, i),
-                    queue_packets=queue_packets,
-                )
-            )
+    if count < 1:
+        raise ValueError("count must be positive")
+    runs = [
+        fairness_run(background, derive_seed(base_seed, i))
+        for background in FAIRNESS_BACKGROUNDS
+        for i in range(count)
+    ]
     medians = {
         background: statistics.median(
             r.fg_dct_us for r in runs if r.background == background
         )
-        for background in backgrounds
+        for background in FAIRNESS_BACKGROUNDS
     }
     return runs, medians
 
@@ -810,33 +751,28 @@ def fairness_experiment(
 def write_fairness_csv(
     runs: Sequence[FairnessRun], medians: Mapping[str, float], path: str
 ) -> None:
-    with open_output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FAIRNESS_COLUMNS)
-        for r in runs:
-            writer.writerow(
-                [
-                    FAIRNESS_SCHEMA,
-                    "run",
-                    r.background,
-                    r.seed,
-                    f"{r.fg_start_us / 1000:.3f}",
-                    f"{r.fg_dct_us / 1000:.3f}",
-                    r.bg_received_bytes,
-                ]
-            )
-        for background, median in medians.items():
-            writer.writerow(
-                [
-                    FAIRNESS_SCHEMA,
-                    "summary",
-                    background,
-                    "",
-                    "",
-                    f"{median / 1000:.3f}",
-                    "",
-                ]
-            )
+    rows = [
+        {
+            "schema": FAIRNESS_SCHEMA,
+            "record": "run",
+            "background": r.background,
+            "seed": r.seed,
+            "fg_start_ms": f"{r.fg_start_us / 1000:.3f}",
+            "fg_dct_ms": f"{r.fg_dct_us / 1000:.3f}",
+            "bg_received_bytes": r.bg_received_bytes,
+        }
+        for r in runs
+    ]
+    rows += [
+        {
+            "schema": FAIRNESS_SCHEMA,
+            "record": "summary",
+            "background": background,
+            "fg_dct_ms": f"{median / 1000:.3f}",
+        }
+        for background, median in medians.items()
+    ]
+    _write_csv(path, FAIRNESS_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------

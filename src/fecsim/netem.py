@@ -207,7 +207,6 @@ class Datagram:
     dst: str
     packet_number: int
     kind: str
-    fec_protected: bool
 
     @property
     def size(self) -> int:
@@ -380,7 +379,6 @@ class Network:
             self._peer[src],
             out.packet_number,
             out.kind,
-            out.fec_protected,
         )
         self.links[self._side[src]].send(dgram)
 

@@ -257,7 +257,6 @@ class SentRecord:
     send_time_us: int
     size: int
     retransmittable: list
-    fec_protected: bool
 
 
 class SendStream:
@@ -274,13 +273,13 @@ class SendStream:
     def has_pending(self) -> bool:
         return not self.fin_sent
 
-    def next_frame(self, max_data: int, stream_id: int = 0) -> StreamFrame:
+    def next_frame(self, max_data: int) -> StreamFrame:
         n = min(max_data, self.total - self.next_offset)
         offset = self.next_offset
         self.next_offset += n
         fin = self.next_offset >= self.total
         self.fin_sent = self.fin_sent or fin
-        return StreamFrame(stream_id, offset, fin, self._data_fn(offset, n))
+        return StreamFrame(0, offset, fin, self._data_fn(offset, n))
 
 
 class RecvStream:
@@ -349,7 +348,6 @@ class OutPacket:
     data: bytes
     packet_number: int
     kind: str  # hs | feedback | repair | stream | probe
-    fec_protected: bool
 
     @property
     def size(self) -> int:
@@ -420,7 +418,6 @@ class Connection:
 
         self._handshake_done = False
         self.complete_at_us: Optional[int] = None
-        self.on_complete: Optional[Callable[[int], None]] = None
 
     # -- public inspection -------------------------------------------------
 
@@ -522,8 +519,6 @@ class Connection:
                 self._trace(
                     "response_complete", None, f"bytes={self._recv_stream.cursor}"
                 )
-                if self.on_complete is not None:
-                    self.on_complete(now)
 
     def _start_response(self, now: int) -> None:
         size = pattern_request_size(bytes(self._recv_stream.data))
@@ -806,7 +801,7 @@ class Connection:
             retransmittable = [
                 f for f in frames if isinstance(f, (StreamFrame, HandshakeFrame))
             ]
-            self._sent[pn] = SentRecord(pn, now, len(data), retransmittable, protect)
+            self._sent[pn] = SentRecord(pn, now, len(data), retransmittable)
             self._bytes_in_flight += len(data)
             self._tlp_anchor = now
         self.stats.packets_sent += 1
@@ -815,7 +810,7 @@ class Connection:
             self.stats.retransmitted_packets += 1
             self._trace("retransmit", pn, kind)
         self._trace("send", pn, kind)
-        return OutPacket(data, pn, kind, protect)
+        return OutPacket(data, pn, kind)
 
 
 def acked_in_flight(

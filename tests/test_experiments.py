@@ -2,6 +2,7 @@
 ratio comparison, fairness plumbing, and the command-line front end."""
 
 import csv
+import hashlib
 import json
 import re
 
@@ -296,9 +297,6 @@ def test_fairness_run_smoke(monkeypatch):
 def test_fairness_run_rejects_bad_inputs():
     with pytest.raises(ValueError, match="unknown background"):
         xp.fairness_run("chatty", seed=0)
-    lossy = xp.Scenario("x", 1_000_000, 1_000, xp.LossSpec("uniform", p=0.5))
-    with pytest.raises(ValueError, match="without random loss"):
-        xp.fairness_run("baseline", seed=0, scenario=lossy)
 
 
 def test_fairness_experiment_and_csv(monkeypatch, tmp_path):
@@ -398,6 +396,19 @@ def test_cli_compare_mismatch_exits_with_message(tmp_path):
         cli_main(["compare", "--a", str(a), "--b", str(b), "--out", "-"])
 
 
+@pytest.mark.parametrize(
+    "text, missing",
+    [("a,b\n1,2\n", "schema"), ("schema,scenario\nrun.v1,x\n", "rep_dct_ms")],
+    ids=["foreign-header", "partial-header"],
+)
+def test_cli_compare_rejects_foreign_csv(tmp_path, text, missing):
+    foreign, good = tmp_path / "foreign.csv", tmp_path / "good.csv"
+    foreign.write_text(text)
+    xp.write_run_csv(matrix_records(), str(good))
+    with pytest.raises(SystemExit, match=missing):
+        cli_main(["compare", "--a", str(foreign), "--b", str(good), "--out", "-"])
+
+
 def test_cli_losstrace_formats(tmp_path):
     out = tmp_path / "trace.txt"
     rc = cli_main([
@@ -433,3 +444,41 @@ def test_cli_fairness_scaled(monkeypatch, tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["record"] for r in rows] == ["run"] * 3 + ["summary"] * 3
+
+
+def test_cli_fairness_rejects_zero_count(tmp_path):
+    out = tmp_path / "fairness.csv"
+    with pytest.raises(SystemExit, match="count must be positive"):
+        cli_main(["fairness", "--count", "0", "--out", str(out)])
+
+
+def test_harness_output_bytes_are_pinned(monkeypatch, tmp_path):
+    """The run CSV and JSON, the compare CSV and the fairness CSV at fixed
+    seeds, against the sha256 values recorded when they were last changed
+    on purpose.  A change that alters any of these bytes must say why and
+    record the new values here."""
+
+    def sha(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    run = ["run", "--seed", "0", "--sizes", "1k,10k", "--reps", "3"]
+    csv_path, json_path = tmp_path / "run.csv", tmp_path / "run.json"
+    a, b, ratios = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "ratios.csv"
+    assert cli_main(run + ["--out", str(csv_path), "--json", str(json_path)]) == 0
+    assert cli_main(run + ["--variants", "rlc", "--out", str(a)]) == 0
+    assert cli_main(run + ["--variants", "baseline", "--out", str(b)]) == 0
+    assert cli_main(["compare", "--a", str(a), "--b", str(b), "--out", str(ratios)]) == 0
+    shrink_fairness(monkeypatch)
+    fairness = tmp_path / "fairness.csv"
+    xp.write_fairness_csv(*xp.fairness_experiment(base_seed=0, count=1), str(fairness))
+    assert {
+        "run_csv": sha(csv_path),
+        "run_json": sha(json_path),
+        "compare_csv": sha(ratios),
+        "fairness_csv": sha(fairness),
+    } == {
+        "run_csv": "e29db3fac1df40325c047fd9e751ec710eaa649bc6c005f56c8301343cf9f214",
+        "run_json": "44f36078614f3b458aa280e930c367c8e09876b0619f8954705fb4b0891dfcfd",
+        "compare_csv": "10b765e70660dc1b1a5a29b4e8c37258c6109b6c76cb209150996e5d30549fa2",
+        "fairness_csv": "c3ba64ac220e4f834c07181a1f38ec0b8586a24d2c03c9a46162a0a65cf60346",
+    }

@@ -22,7 +22,7 @@ from fecsim.rng import SplitMix64
 
 
 def dgram(size, pn=1, kind="stream", src="a", dst="b"):
-    return Datagram(bytes(size), src, dst, pn, kind, False)
+    return Datagram(bytes(size), src, dst, pn, kind)
 
 
 # ---------------------------------------------------------------------------
