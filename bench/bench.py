@@ -1,15 +1,24 @@
-"""Micro-benchmarks of the ACK path and the seed-0 output hashes.
+"""Micro-benchmarks of the coding layer and the ACK path, and the seed-0
+output hashes.
 
 Run from the root of a checkout; fecsim is imported from that checkout's
 ``src/``::
 
-    python3 bench/bench.py --out BENCH_3.json
+    python3 bench/bench.py --out BENCH_5.json
 
 The JSON records:
 
-* ``micro``: the median time of ``Connection._on_ack_frame`` on a
-  300-packet flight with a 32-range ACK, and of ``encode_frame`` and
-  ``parse_frames`` on a 32-range ``AckFrame``;
+* ``micro``: the median time of
+  - ``addmul_row`` on a 1208-byte row;
+  - ``rs_encode`` of a (30,20) block, and ``rs_decode`` of one with 10
+    sources erased;
+  - ``rlc_coefficients`` and ``rlc_encode`` for a 20-symbol window, and
+    ``RlcDecoder.add_repair`` of a repair over that window that rebuilds
+    its one missing source;
+  - ``Connection._on_ack_frame`` on a 300-packet flight with a 32-range
+    ACK, and ``encode_frame`` and ``parse_frames`` on a 32-range
+    ``AckFrame``.
+  Symbols are 1208 bytes, the width of a full packet's symbol;
 * ``outputs``: the sha256 and host time of one ``fecsim run --seed 0``
   and one ``fecsim fairness --seed 0 --count 1``.  Equal hashes between
   two checkouts show that a change left the simulated results
@@ -33,7 +42,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from fecsim import cli  # noqa: E402
+import numpy as np  # noqa: E402
+
+from fecsim import cli, gf256, schemes  # noqa: E402
 from fecsim.frames import AckFrame, encode_frame, parse_frames  # noqa: E402
 from fecsim.transport import (  # noqa: E402
     Connection,
@@ -44,7 +55,12 @@ from fecsim.transport import (  # noqa: E402
 
 FLIGHT = 300
 RANGES = 32
-ACK_REPEATS = 1000
+FRESH_REPEATS = 1000
+SYMBOL = schemes.DEFAULT_SYMBOL_SIZE
+RS = schemes.BlockCodeParams(30, 20)
+RS_ERASED = 10
+WINDOW = 20
+RLC_SEED = 0xBEEF
 
 
 def ack_with_gaps() -> AckFrame:
@@ -63,17 +79,67 @@ def server_with_flight() -> Connection:
     return conn
 
 
+def bench_fresh(make, run) -> dict:
+    """Median time of ``run(make())`` for calls that change their
+    receiver's state; only ``run`` is timed."""
+    samples = []
+    for _ in range(FRESH_REPEATS):
+        obj = make()
+        start = time.perf_counter_ns()
+        run(obj)
+        samples.append((time.perf_counter_ns() - start) / 1000)
+    return {"median_us": statistics.median(samples), "samples": len(samples)}
+
+
 def bench_on_ack_frame() -> dict:
     ack = ack_with_gaps()
-    samples = []
-    for _ in range(ACK_REPEATS):
-        conn = server_with_flight()
-        start = time.perf_counter_ns()
-        conn._on_ack_frame(ack, 100_000)
-        samples.append((time.perf_counter_ns() - start) / 1000)
-        if conn.stats.lost_packets != RANGES - 1:
-            raise SystemExit("the ACK must declare every hole lost")
-    return {"median_us": statistics.median(samples), "samples": len(samples)}
+    conn = server_with_flight()
+    conn._on_ack_frame(ack, 100_000)
+    if conn.stats.lost_packets != RANGES - 1:
+        raise SystemExit("the ACK must declare every hole lost")
+    return bench_fresh(server_with_flight, lambda c: c._on_ack_frame(ack, 100_000))
+
+
+def coding_micro() -> dict:
+    """The coding-layer entries, each checked once against its inverse."""
+    symbols = np.random.default_rng(0).integers(0, 256, (RS.n, SYMBOL), dtype=np.uint8)
+    sources = list(symbols[: RS.k])
+    repairs = {r.scheme_specific: r.payload for r in schemes.rs_encode(sources, RS)}
+    survivors = {off: sym for off, sym in enumerate(sources) if off >= RS_ERASED}
+    solved = schemes.rs_decode(survivors, repairs, RS)
+    if any(not np.array_equal(solved[off], sources[off]) for off in range(RS_ERASED)):
+        raise SystemExit("rs_decode must rebuild the erased sources")
+
+    window = sources[:WINDOW]
+    rlc_repair = schemes.rlc_encode(window, 0, RLC_SEED).payload
+
+    def decoder_missing_one() -> schemes.RlcDecoder:
+        dec = schemes.RlcDecoder(WINDOW)
+        for seq, sym in enumerate(window[1:], 1):
+            dec.add_source(seq, sym)
+        return dec
+
+    got = decoder_missing_one().add_repair(0, WINDOW, RLC_SEED, rlc_repair)
+    if len(got) != 1 or not np.array_equal(got[0][1], window[0]):
+        raise SystemExit("add_repair must rebuild the missing source")
+
+    acc = symbols[RS.k].copy()
+    return {
+        "gf256.addmul_row_1208": bench_call(lambda: gf256.addmul_row(acc, 0x53, symbols[0])),
+        "schemes.rs_encode_30_20": bench_call(lambda: schemes.rs_encode(sources, RS), number=50),
+        "schemes.rs_decode_30_20_10_erased": bench_call(
+            lambda: schemes.rs_decode(survivors, repairs, RS), number=50
+        ),
+        "schemes.rlc_coefficients_20": bench_call(
+            lambda: schemes.rlc_coefficients(RLC_SEED, WINDOW)
+        ),
+        "schemes.rlc_encode_20": bench_call(
+            lambda: schemes.rlc_encode(window, 0, RLC_SEED), number=200
+        ),
+        "schemes.rlc_add_repair_20_one_missing": bench_fresh(
+            decoder_missing_one, lambda dec: dec.add_repair(0, WINDOW, RLC_SEED, rlc_repair)
+        ),
+    }
 
 
 def bench_call(fn, number: int = 2000, repeat: int = 15) -> dict:
@@ -114,6 +180,7 @@ def main() -> int:
             "cpus": os.cpu_count(),
         },
         "micro": {
+            **coding_micro(),
             "transport.on_ack_frame_300_flight_32_ranges": bench_on_ack_frame(),
             "frames.encode_ack_32_ranges": bench_call(lambda: encode_frame(ack)),
             "frames.parse_ack_32_ranges": bench_call(lambda: parse_frames(wire)),

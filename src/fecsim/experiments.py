@@ -502,8 +502,15 @@ def read_run_csv(path: str) -> list[ExperimentRecord]:
         if missing:
             raise ValueError(f"{path}: unsupported schema, missing {', '.join(missing)}")
         for row in reader:
+            # DictReader keys surplus fields under None and fills missing ones with None.
+            if None in row or None in row.values():
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected {len(reader.fieldnames)} fields"
+                )
             if row["schema"] != RUN_SCHEMA:
-                raise ValueError(f"unsupported schema {row['schema']!r}")
+                raise ValueError(
+                    f"{path}:{reader.line_num}: unsupported schema {row['schema']!r}"
+                )
             rep_field = row["rep_dct_ms"]
             records.append(
                 ExperimentRecord(

@@ -3,15 +3,22 @@
 The field is GF(256) with reduction polynomial x^8 + x^4 + x^3 + x^2 + 1
 (0x11D).  Elements are integers in [0, 255]; addition is XOR.
 
-Multiplication is served from a precomputed 256x256 product table, which
-doubles as a fast row-scaling primitive: ``_MUL[c][row]`` multiplies every
-byte of a numpy row by the scalar ``c`` with one fancy-index gather.  The
-tables are an optimisation only; ground truth is carry-less polynomial
-multiplication reduced modulo 0x11D, which the test suite checks
-exhaustively against this module.
+Multiplication is served from a precomputed 256x256 product table.  Its
+rows double as ``bytes.translate`` tables: ``row.translate(_TRANSLATE[c])``
+multiplies every byte of ``row`` by the scalar ``c``.  :func:`matmul`
+builds each output row by translating each source row by its nonzero
+coefficient (coefficient 1 needs no translate), joining the results and
+XOR-reducing them as 64-bit words.  :func:`solve_linear_system` eliminates
+on the narrow coefficient matrix only and applies the resulting transform
+to the wide right-hand side with one :func:`matmul`.  The tables are an
+optimisation only; ground truth is carry-less polynomial multiplication
+reduced modulo 0x11D, which the test suite checks exhaustively against
+this module.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -45,6 +52,8 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _EXP, _LOG, _MUL = _build_tables()
+# _TRANSLATE[c] maps every byte x to c * x.
+_TRANSLATE = [bytes(_MUL[c]) for c in range(ORDER)]
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -70,26 +79,49 @@ def gf_inv(a: int) -> int:
 
 def addmul_row(acc: np.ndarray, coeff: int, row: np.ndarray) -> None:
     """acc ^= coeff * row, in place."""
-    if coeff:
-        acc ^= _MUL[coeff][row]
+    if coeff == 1:
+        acc ^= row
+    elif coeff:
+        acc ^= np.frombuffer(row.tobytes().translate(_TRANSLATE[coeff]), dtype=np.uint8)
 
 
-def matmul(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``matrix`` (r x c) times a stack of byte rows (c x w) over GF(256)."""
-    matrix = np.asarray(matrix, dtype=np.uint8)
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.uint8))
-    r, c = matrix.shape
-    if rows.shape[0] != c:
-        raise ValueError(f"need {c} rows, got {rows.shape[0]}")
-    out = np.zeros((r, rows.shape[1]), dtype=np.uint8)
-    for i in range(r):
-        acc = out[i]
-        mrow = matrix[i]
-        for j in range(c):
-            coeff = mrow[j]
-            if coeff:
-                acc ^= _MUL[coeff][rows[j]]
+def xor_rows(rows: np.ndarray) -> np.ndarray:
+    """XOR of the rows of an (n x w) byte array, n >= 1, reduced as 64-bit
+    words when w is a multiple of 8."""
+    if rows.shape[1] % 8:
+        return np.bitwise_xor.reduce(rows, axis=0)
+    return np.bitwise_xor.reduce(rows.view(np.uint64), axis=0).view(np.uint8)
+
+
+def _combine(matrix: np.ndarray, sources: list[bytes]) -> np.ndarray:
+    # Output row i is the XOR over j of matrix[i, j] * sources[j].
+    width = len(sources[0])
+    out = np.zeros((matrix.shape[0], width), dtype=np.uint8)
+    for out_row, coeffs in zip(out, matrix.tolist()):
+        terms = [
+            src if f == 1 else src.translate(_TRANSLATE[f])
+            for f, src in zip(coeffs, sources)
+            if f
+        ]
+        if terms:
+            joined = np.frombuffer(b"".join(terms), dtype=np.uint8)
+            out_row[:] = xor_rows(joined.reshape(len(terms), width))
     return out
+
+
+def matmul(matrix: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
+    """``matrix`` (r x c) times c byte rows over GF(256).
+
+    ``rows`` is a (c x w) uint8 array or a sequence of c uint8 rows of
+    one width w; the result is (r x w).
+    """
+    matrix = np.asarray(matrix, dtype=np.uint8)
+    sources = [row.tobytes() for row in rows]
+    if len(sources) != matrix.shape[1]:
+        raise ValueError(f"need {matrix.shape[1]} rows, got {len(sources)}")
+    if len({len(src) for src in sources}) != 1:
+        raise ValueError("need at least one row, all of one width")
+    return _combine(matrix, sources)
 
 
 def solve_linear_system(matrix, rhs) -> np.ndarray:
@@ -98,14 +130,19 @@ def solve_linear_system(matrix, rhs) -> np.ndarray:
     ``matrix`` is (r x c) with r >= c (square or overdetermined);
     ``rhs`` is a stack of r byte rows.  Returns the c solution rows.
 
+    The elimination runs on ``[matrix | I]``, so the identity half ends up
+    as the product T of all row operations, and the solution is the first
+    c rows of T applied to ``rhs`` in one :func:`matmul`: the same linear
+    map as eliminating on ``[matrix | rhs]``, at the width of the matrix.
+
     Pivoting is deterministic: the first nonzero entry scanning down each
     column is chosen, so results are byte-reproducible everywhere.
     Raises :class:`SingularMatrix` when some column has no pivot.
     Overdetermined systems are assumed consistent (the erasure decoders
     only ever build consistent ones).
     """
-    a = np.array(matrix, dtype=np.uint8, copy=True)
-    b = np.atleast_2d(np.array(rhs, dtype=np.uint8, copy=True))
+    a = np.asarray(matrix, dtype=np.uint8)
+    b = np.atleast_2d(np.asarray(rhs, dtype=np.uint8))
     if a.ndim != 2:
         raise ValueError("matrix must be 2-dimensional")
     r, c = a.shape
@@ -115,24 +152,19 @@ def solve_linear_system(matrix, rhs) -> np.ndarray:
         raise SingularMatrix(f"underdetermined system: {r} equations, {c} unknowns")
     if b.shape[0] != r:
         raise ValueError(f"rhs has {b.shape[0]} rows, matrix has {r}")
+    aug = np.concatenate([a, np.eye(r, dtype=np.uint8)], axis=1)
     for col in range(c):
-        pivot = -1
-        for i in range(col, r):
-            if a[i, col]:
-                pivot = i
-                break
+        pivot = next((i for i, v in enumerate(aug[col:, col].tolist(), col) if v), -1)
         if pivot < 0:
             raise SingularMatrix(f"no pivot available for column {col}")
         if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            b[[col, pivot]] = b[[pivot, col]]
-        inv = gf_inv(int(a[col, col]))
+            aug[[col, pivot]] = aug[[pivot, col]]
+        inv = gf_inv(int(aug[col, col]))
         if inv != 1:
-            a[col] = _MUL[inv][a[col]]
-            b[col] = _MUL[inv][b[col]]
-        for i in range(r):
-            if i != col and a[i, col]:
-                f = int(a[i, col])
-                a[i] ^= _MUL[f][a[col]]
-                b[i] ^= _MUL[f][b[col]]
-    return b[:c]
+            aug[col] = _MUL[inv][aug[col]]
+        # Every other row i loses aug[i, col] times the pivot row at once;
+        # rows with a zero factor XOR zeros.
+        factors = aug[:, col].copy()
+        factors[col] = 0
+        aug ^= _MUL[factors[:, None], aug[col]]
+    return _combine(aug[:c, c:], [row.tobytes() for row in b])

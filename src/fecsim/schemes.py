@@ -125,10 +125,7 @@ def xor_encode(sources: Sequence[np.ndarray]) -> RepairSymbol:
     """XOR of all source symbols in a block."""
     if len(sources) == 0:
         raise EmptyBlock("cannot encode an empty block")
-    acc = np.array(sources[0], dtype=np.uint8, copy=True)
-    for sym in sources[1:]:
-        acc ^= sym
-    return RepairSymbol(acc, 0)
+    return RepairSymbol(gf256.xor_rows(np.stack(sources)), 0)
 
 
 def xor_recover(
@@ -145,11 +142,8 @@ def xor_recover(
         raise NothingToRecover("block is already complete")
     if len(missing) > 1:
         raise Unrecoverable(f"{len(missing)} symbols missing, XOR repairs one")
-    acc = np.array(payload, dtype=np.uint8, copy=True)
-    for sym in received:
-        if sym is not None:
-            acc ^= sym
-    return acc
+    rows = [payload, *(sym for sym in received if sym is not None)]
+    return gf256.xor_rows(np.stack(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +179,7 @@ def rs_encode(
     k = len(sources)
     n = k + params.repairs
     g = rs_generator(n, k)
-    payloads = gf256.matmul(g[k:], np.stack(sources))
+    payloads = gf256.matmul(g[k:], sources)
     return [RepairSymbol(payloads[i], i) for i in range(params.repairs)]
 
 
@@ -210,16 +204,16 @@ def rs_decode(
             f"{len(sources)} sources + {len(repairs)} repairs < k={k}"
         )
     g = rs_generator(params.n, k)
-    width = next(iter(repairs.values())).shape[0]
-    rows = np.zeros((len(repairs), len(missing)), dtype=np.uint8)
-    rhs = np.zeros((len(repairs), width), dtype=np.uint8)
-    for eq, (ridx, payload) in enumerate(sorted(repairs.items())):
-        grow = g[k + ridx]
-        residual = np.array(payload, dtype=np.uint8, copy=True)
-        for off, sym in sources.items():
-            gf256.addmul_row(residual, int(grow[off]), sym)
-        rows[eq] = grow[missing]
-        rhs[eq] = residual
+    indices = sorted(repairs)
+    known = list(sources)
+    grows = g[[k + ridx for ridx in indices]]
+    # Residual of repair e: its payload minus the known sources' share,
+    # for every repair in one matmul over [sources; payloads].
+    rhs = gf256.matmul(
+        np.concatenate([grows[:, known], np.eye(len(indices), dtype=np.uint8)], axis=1),
+        [sources[off] for off in known] + [repairs[ridx] for ridx in indices],
+    )
+    rows = grows[:, missing]
     try:
         solved = gf256.solve_linear_system(rows, rhs)
     except gf256.SingularMatrix as exc:  # cannot happen for true RS inputs
@@ -252,10 +246,7 @@ def rlc_encode(
     if len(window) == 0:
         raise EmptyBlock("cannot encode an empty window")
     coeffs = rlc_coefficients(seed, len(window))
-    acc = np.zeros(len(window[0]), dtype=np.uint8)
-    for coeff, sym in zip(coeffs, window):
-        gf256.addmul_row(acc, int(coeff), sym)
-    return RepairSymbol(acc, seed)
+    return RepairSymbol(gf256.matmul(coeffs[None, :], window)[0], seed)
 
 
 @dataclass
@@ -305,23 +296,26 @@ class RlcDecoder:
         returns newly recovered source symbols in sequence order."""
         if length < 1:
             raise InvalidParams(f"repair window length must be >= 1, got {length}")
-        coeffs = rlc_coefficients(seed, length)
-        residual = np.array(payload, dtype=np.uint8, copy=True)
+        known_coeffs: list[int] = []
+        known: list[np.ndarray] = []
         unknowns: dict[int, int] = {}
         stale = False
-        for pos in range(length):
-            seq = window_start + pos
-            coeff = int(coeffs[pos])
+        for seq, coeff in enumerate(rlc_coefficients(seed, length).tolist(), window_start):
             sym = self._symbols.get(seq)
             if sym is not None:
-                gf256.addmul_row(residual, coeff, sym)
+                known_coeffs.append(coeff)
+                known.append(sym)
             elif seq < self._horizon:
                 stale = True
                 break
             else:
                 unknowns[seq] = coeff
         self._advance(window_start + length - 1)
-        if stale or not unknowns:
+        if stale:
+            return []
+        # Substitute every known symbol at once: residual = payload - known share.
+        residual = gf256.matmul([known_coeffs + [1]], known + [payload])[0]
+        if not unknowns:
             return []
         self._equations.append(_Equation(window_start, unknowns, residual))
         return self._try_solve()

@@ -25,8 +25,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import framework
 from .frames import (
     AckFrame,
@@ -81,11 +79,14 @@ class ProtocolViolation(Exception):
     disjoint, a malformed request or corrupted stream bytes."""
 
 
+# Whole periods of the response pattern, at least one more than a packet holds.
+_PATTERN = bytes(range(256)) * (MAX_PACKET_SIZE // 256 + 2)
+
+
 def pattern_bytes(offset: int, n: int) -> bytes:
     """The deterministic response payload: byte i is i mod 256."""
-    return (np.arange(offset, offset + n, dtype=np.int64) & 0xFF).astype(
-        np.uint8
-    ).tobytes()
+    start = offset & 0xFF
+    return (_PATTERN * ((start + n) // len(_PATTERN) + 1))[start : start + n]
 
 
 # ---------------------------------------------------------------------------

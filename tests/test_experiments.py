@@ -409,6 +409,18 @@ def test_cli_compare_rejects_foreign_csv(tmp_path, text, missing):
         cli_main(["compare", "--a", str(foreign), "--b", str(good), "--out", "-"])
 
 
+@pytest.mark.parametrize("extra", [None, "surplus"], ids=["short-row", "long-row"])
+def test_cli_compare_rejects_ragged_row(tmp_path, extra):
+    ragged, good = tmp_path / "ragged.csv", tmp_path / "good.csv"
+    xp.write_run_csv(matrix_records(), str(good))
+    header, row = good.read_text().splitlines()[:2]
+    row = "run.v1,x" if extra is None else f"{row},{extra}"
+    ragged.write_text(f"{header}\n{row}\n")
+    want = f"ragged.csv:2: expected {len(xp.RUN_COLUMNS)} fields"
+    with pytest.raises(SystemExit, match=want):
+        cli_main(["compare", "--a", str(ragged), "--b", str(good), "--out", "-"])
+
+
 def test_cli_losstrace_formats(tmp_path):
     out = tmp_path / "trace.txt"
     rc = cli_main([

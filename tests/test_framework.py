@@ -1,6 +1,8 @@
 """Repair-frame wire format, id spaces, and sender/receiver FEC plumbing."""
 
+import hashlib
 import random
+import struct
 
 import pytest
 
@@ -381,3 +383,73 @@ def test_xor_sender_receiver_roundtrip_single_loss_per_lane():
     by_id = dict(recovered)
     assert len(by_id) == 2
     assert set(by_id.values()) == {packets[2], packets[5]}
+
+
+# ---------------------------------------------------------------------------
+# Pinned coding-layer bytes
+
+# code -> (scheme, params, xor lanes, rlc window)
+PINNED_CODES = {
+    "xor": (SCHEME_XOR, BlockCodeParams(5, 4), 4, 1),
+    "rs": (SCHEME_REED_SOLOMON, BlockCodeParams(30, 20), 1, 1),
+    "rlc": (SCHEME_RLC, ConvolutionalParams(3, 2, 20), 1, 20),
+}
+
+# code -> (sha256 of the repairs, sha256 of the recovered packets, how many)
+PINNED_DIGESTS = {
+    "xor": (
+        "1b9973f3c0945329be1d2c96ef27c8ba6b7b2856d22e33534437c7a1c1ddfd0d",
+        "3e8c2648ba3684508a8605b98679080fb03b21ad05937d06a926ddca00dd85f5",
+        29,
+    ),
+    "rs": (
+        "59eb74142ea7274f07b992e561276ba4f66ba38a08488ca5ecdad63a5b4a5eed",
+        "44651f9615b5d67a74952207bbc516b38083e1d9a71c239de9009f937dddfcb1",
+        34,
+    ),
+    "rlc": (
+        "41b6ec0ae532d4124ef87ca41fa65122e4093137764206dbdb8247ac8e5a197a",
+        "1d7d71779101dea6d19ec9207a24ec3ea043bbebcdab66334be765c53d86b9c6",
+        36,
+    ),
+}
+
+
+def coded_stream_digests(code):
+    """sha256 of the repairs SenderFec emits for a seeded 400-packet stream
+    of full-size symbols, and of the packets ReceiverFec recovers when a
+    fixed pseudo-random tenth of the sources and of the repairs is lost."""
+    scheme, params, lanes, window = PINNED_CODES[code]
+    rnd = random.Random(f"pinned-{code}")
+    sender = SenderFec(scheme, params, 1208)
+    if lanes > 1:
+        sender.configure_lanes(lanes)
+    receiver = ReceiverFec(scheme, 1208, window=window)
+    repairs, recovered = hashlib.sha256(), hashlib.sha256()
+    originals, count = {}, 0
+    for _ in range(400):
+        packet = rnd.randbytes(1200 if rnd.random() < 0.75 else rnd.randrange(1, 1200))
+        raw = push_packet(sender, packet)
+        originals[raw] = packet
+        delivered = [] if rnd.random() < 0.1 else receiver.on_source_symbol(raw, packet)
+        for pending in sender.pending:
+            repairs.update(struct.pack(">QBB", pending.repair_id, pending.nss, pending.nrs))
+            repairs.update(pending.payload)
+            if rnd.random() < 0.1:
+                continue
+            for frame in chunk_frames(
+                pending.payload, pending.repair_id, pending.nss, pending.nrs, 1175
+            ):
+                delivered.extend(receiver.on_fec_frame(frame))
+        sender.pending.clear()
+        for raw_id, data in delivered:
+            assert data == originals[raw_id]
+            recovered.update(struct.pack(">IH", raw_id, len(data)) + data)
+            count += 1
+    return repairs.hexdigest(), recovered.hexdigest(), count
+
+
+@pytest.mark.parametrize("code", sorted(PINNED_CODES))
+def test_repair_payload_bytes_are_pinned(code):
+    """A change to the GF(2^8) row kernels must reproduce these bytes."""
+    assert coded_stream_digests(code) == PINNED_DIGESTS[code]

@@ -9,8 +9,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fecsim.gf256 import (
+    _TRANSLATE,
     FIELD_POLY,
     InversionOfZero,
     SingularMatrix,
@@ -169,3 +172,81 @@ def test_solver_is_deterministic():
     first = solve_linear_system(mat.copy(), rhs.copy())
     second = solve_linear_system(mat.copy(), rhs.copy())
     assert np.array_equal(first, second)
+
+
+# ---------------------------------------------------------------------------
+# Row kernels against the oracle, at random shapes and widths
+
+COEFF = st.sampled_from([0, 1]) | st.integers(0, 255)
+
+
+def oracle_product(matrix, rows):
+    out = []
+    for mrow in matrix:
+        acc = [0] * len(rows[0])
+        for f, row in zip(mrow, rows):
+            acc = [a ^ clmul_oracle(f, v) for a, v in zip(acc, row)]
+        out.append(acc)
+    return out
+
+
+@st.composite
+def products(draw):
+    """A coefficient matrix, some of its rows all zero, and byte rows of
+    any width from 1 to 80 (most not a multiple of 8)."""
+    r, c, width = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 80))
+    matrix = [draw(st.lists(COEFF, min_size=c, max_size=c)) for _ in range(r)]
+    for i in draw(st.sets(st.integers(0, r - 1))):
+        matrix[i] = [0] * c
+    rows = [list(draw(st.binary(min_size=width, max_size=width))) for _ in range(c)]
+    return matrix, rows
+
+
+def test_translate_tables_match_products():
+    for c in range(256):
+        assert list(_TRANSLATE[c]) == [gf_mul(c, x) for x in range(256)]
+
+
+@settings(deadline=None)
+@given(products())
+def test_matmul_matches_oracle(case):
+    matrix, rows = case
+    got = matmul(np.array(matrix, dtype=np.uint8), np.array(rows, dtype=np.uint8))
+    assert got.dtype == np.uint8
+    assert got.shape == (len(matrix), len(rows[0]))
+    assert got.tolist() == oracle_product(matrix, rows)
+
+
+@settings(deadline=None)
+@given(COEFF, st.binary(min_size=1, max_size=80), st.data())
+def test_addmul_row_matches_oracle(coeff, row, data):
+    before = data.draw(st.binary(min_size=len(row), max_size=len(row)))
+    acc = np.frombuffer(before, dtype=np.uint8).copy()
+    addmul_row(acc, coeff, np.frombuffer(row, dtype=np.uint8))
+    assert acc.tolist() == [a ^ clmul_oracle(coeff, v) for a, v in zip(before, row)]
+
+
+@st.composite
+def consistent_systems(draw):
+    """matrix (r x c, r >= c), unknowns x (c x width) and rhs = matrix . x."""
+    c = draw(st.integers(1, 8))
+    r = draw(st.integers(c, c + 4))
+    width = draw(st.integers(1, 80))
+    byte = st.integers(0, 255)
+    matrix = [draw(st.lists(byte, min_size=c, max_size=c)) for _ in range(r)]
+    x = [list(draw(st.binary(min_size=width, max_size=width))) for _ in range(c)]
+    return matrix, x, oracle_product(matrix, x)
+
+
+@settings(deadline=None)
+@given(consistent_systems())
+def test_solver_roundtrips_square_and_overdetermined(case):
+    matrix, x, rhs = case
+    try:
+        got = solve_linear_system(
+            np.array(matrix, dtype=np.uint8), np.array(rhs, dtype=np.uint8)
+        )
+    except SingularMatrix:
+        assume(False)
+    assert got.dtype == np.uint8
+    assert got.tolist() == x
