@@ -1,10 +1,10 @@
-"""Micro-benchmarks of the coding layer and the ACK path, and the seed-0
-output hashes.
+"""Micro-benchmarks of the coding layer, the packet codec and the ACK and
+loss paths, and the seed-0 output hashes.
 
 Run from the root of a checkout; fecsim is imported from that checkout's
 ``src/``::
 
-    python3 bench/bench.py --out BENCH_5.json
+    python3 bench/bench.py --out BENCH_8.json
 
 The JSON records:
 
@@ -17,7 +17,12 @@ The JSON records:
     its one missing source;
   - ``Connection._on_ack_frame`` on a 300-packet flight with a 32-range
     ACK, and ``encode_frame`` and ``parse_frames`` on a 32-range
-    ``AckFrame``.
+    ``AckFrame``;
+  - ``Connection.next_timer_us`` on a 300-packet flight after an ACK that
+    leaves two holes, and the ``Connection.on_timer`` call that declares
+    both lost by the time threshold;
+  - ``encode_packet`` and ``parse_packet`` of a full protected packet
+    holding one stream frame.
   Symbols are 1208 bytes, the width of a full packet's symbol;
 * ``outputs``: the sha256 and host time of one ``fecsim run --seed 0``
   and one ``fecsim fairness --seed 0 --count 1``.  Equal hashes between
@@ -45,12 +50,22 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from fecsim import cli, gf256, schemes  # noqa: E402
-from fecsim.frames import AckFrame, encode_frame, parse_frames  # noqa: E402
+from fecsim.frames import (  # noqa: E402
+    AckFrame,
+    Packet,
+    StreamFrame,
+    encode_frame,
+    encode_packet,
+    parse_frames,
+    parse_packet,
+)
 from fecsim.transport import (  # noqa: E402
     Connection,
     ConnectionConfig,
     MAX_PACKET_SIZE,
+    STREAM_BUDGET,
     SentRecord,
+    pattern_bytes,
 )
 
 FLIGHT = 300
@@ -77,6 +92,43 @@ def server_with_flight() -> Connection:
     conn._next_pn = FLIGHT + 1
     conn._bytes_in_flight = FLIGHT * MAX_PACKET_SIZE
     return conn
+
+
+def server_with_holes() -> Connection:
+    """The 300-packet flight after an ACK at 100 ms of packets 1-150 and
+    153: packets 151 and 152 are holes, too shallow for the reorder
+    threshold, so only the hole timer can declare them lost."""
+    conn = server_with_flight()
+    conn._on_ack_frame(AckFrame(153, 0, [(1, 150), (153, 153)]), 100_000)
+    return conn
+
+
+def loss_path_micro() -> dict:
+    conn = server_with_holes()
+    deadline = conn.next_timer_us()
+    conn.on_timer(deadline)
+    if conn.stats.lost_packets != 2:
+        raise SystemExit("the hole timer must declare both holes lost")
+    conn = server_with_holes()
+    return {
+        "transport.next_timer_us_300_flight_2_holes": bench_call(conn.next_timer_us),
+        "transport.on_timer_300_flight_2_time_losses": bench_fresh(
+            server_with_holes, lambda c: c.on_timer(deadline)
+        ),
+    }
+
+
+def packet_micro() -> dict:
+    offset = 1_000_000
+    frame = StreamFrame(0, offset, False, pattern_bytes(offset, STREAM_BUDGET))
+    packet = Packet(7, [frame], True, 0x1234)
+    wire = encode_packet(packet)
+    if len(wire) != MAX_PACKET_SIZE or parse_packet(wire) != packet:
+        raise SystemExit("a full stream packet must fill the packet and round-trip")
+    return {
+        "frames.encode_packet_full_stream": bench_call(lambda: encode_packet(packet)),
+        "frames.parse_packet_full_stream": bench_call(lambda: parse_packet(wire)),
+    }
 
 
 def bench_fresh(make, run) -> dict:
@@ -184,6 +236,8 @@ def main() -> int:
             "transport.on_ack_frame_300_flight_32_ranges": bench_on_ack_frame(),
             "frames.encode_ack_32_ranges": bench_call(lambda: encode_frame(ack)),
             "frames.parse_ack_32_ranges": bench_call(lambda: parse_frames(wire)),
+            **loss_path_micro(),
+            **packet_micro(),
         },
         "outputs": {
             "run_csv_seed0": cli_output(["run", "--seed", "0"]),

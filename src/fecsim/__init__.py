@@ -34,7 +34,6 @@ from .transport import (
 from .netem import (
     GilbertElliottLoss,
     Network,
-    PathParams,
     Simulator,
     UniformLoss,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "STRATEGY_SILENT_ACK",
     "GilbertElliottLoss",
     "Network",
-    "PathParams",
     "Simulator",
     "UniformLoss",
     "PRESETS",

@@ -16,15 +16,15 @@ import random
 import statistics
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .netem import (
     DEFAULT_MAX_EVENTS,
+    DEFAULT_QUEUE_PACKETS,
     GilbertElliottLoss,
     Host,
     Network,
-    PathParams,
     SimulationRunaway,
     Simulator,
     TraceLog,
@@ -141,12 +141,7 @@ class Scenario:
     bandwidth_bps: int
     one_way_delay_us: int
     loss: LossSpec
-    queue_packets: int = 50
-
-    def path(self) -> PathParams:
-        return PathParams(
-            self.bandwidth_bps, self.one_way_delay_us, self.queue_packets
-        )
+    queue_packets: int = DEFAULT_QUEUE_PACKETS
 
 
 # Narrow-band aeronautical path presets: a direct air-to-ground shape and
@@ -342,7 +337,9 @@ def run_transfer(
     loss = scenario.loss.make(seed) if loss_model is None else loss_model
     network = Network(
         sim,
-        scenario.path(),
+        scenario.bandwidth_bps,
+        scenario.one_way_delay_us,
+        scenario.queue_packets,
         loss=loss,
         trace=trace.link_tracer() if trace else None,
     )
@@ -706,8 +703,10 @@ def fairness_run(background: str, seed: int) -> FairnessRun:
     else:
         raise ValueError(f"unknown background behaviour {background!r}")
     sim = Simulator()
-    path = replace(PRESETS["mss"].path(), queue_packets=FAIRNESS_QUEUE_PACKETS)
-    network = Network(sim, path)
+    mss = PRESETS["mss"]
+    network = Network(
+        sim, mss.bandwidth_bps, mss.one_way_delay_us, FAIRNESS_QUEUE_PACKETS
+    )
     fg_client, _, fg_host = _attach_transfer(
         sim, network, ConnectionConfig(fec=None), FAIRNESS_FG_SIZE, "fg_"
     )

@@ -323,25 +323,18 @@ class Host:
         self.pump()
 
 
-@dataclass(frozen=True)
-class PathParams:
-    """Symmetric path shape: per-direction bandwidth, one-way delay and
-    drop-tail queue capacity."""
-
-    bandwidth_bps: int
-    one_way_delay_us: int
-    queue_packets: int = DEFAULT_QUEUE_PACKETS
-
-
 class Network:
     """Two shared directional links ("fwd" carries every client-side
     host's traffic, "rev" the servers'), so multiple connections contend
-    for the same bottleneck."""
+    for the same bottleneck.  The path is symmetric: both links have the
+    same bandwidth, one-way delay and drop-tail queue capacity."""
 
     def __init__(
         self,
         sim: Simulator,
-        path: PathParams,
+        bandwidth_bps: int,
+        one_way_delay_us: int,
+        queue_packets: int = DEFAULT_QUEUE_PACKETS,
         loss=None,
         trace: Optional[Callable[[str, Datagram], None]] = None,
     ):
@@ -352,11 +345,11 @@ class Network:
         self.links = {
             side: Link(
                 sim,
-                path.bandwidth_bps,
-                path.one_way_delay_us,
+                bandwidth_bps,
+                one_way_delay_us,
                 self._on_arrival,
                 loss=loss,
-                queue_packets=path.queue_packets,
+                queue_packets=queue_packets,
                 trace=trace,
             )
             for side in ("fwd", "rev")

@@ -311,12 +311,10 @@ class RlcDecoder:
             else:
                 unknowns[seq] = coeff
         self._advance(window_start + length - 1)
-        if stale:
+        if stale or not unknowns:
             return []
         # Substitute every known symbol at once: residual = payload - known share.
         residual = gf256.matmul([known_coeffs + [1]], known + [payload])[0]
-        if not unknowns:
-            return []
         self._equations.append(_Equation(window_start, unknowns, residual))
         return self._try_solve()
 

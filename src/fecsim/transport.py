@@ -15,6 +15,12 @@ stream data is registered as a source symbol, repair symbols ride in
 their own unprotected packets, and a receiver that repairs a loss can
 acknowledge the packet and report the repair in a Recovered frame so the
 sender still hears the congestion signal without retransmitting.
+
+A sent packet leaves the flight one way, ``Connection._retire``, for one
+of four reasons: it is acknowledged; it is declared lost, which queues
+its frames again and signals congestion; the peer reports it recovered,
+which signals congestion but resends nothing; or the probe abandons it
+when nothing worth probing is left.
 """
 
 from __future__ import annotations
@@ -258,6 +264,8 @@ class SentRecord:
     send_time_us: int
     size: int
     retransmittable: list
+    # packet numbers this feedback packet reported in a Recovered frame
+    recovered: frozenset = frozenset()
 
 
 class SendStream:
@@ -306,9 +314,20 @@ class RecvStream:
         return self.final_size is not None and self.cursor >= self.final_size
 
     def insert(self, offset: int, data: bytes, fin: bool) -> None:
-        if fin:
-            self.final_size = offset + len(data)
-        if offset + len(data) <= self.cursor:
+        end = offset + len(data)
+        # A known final size never changes and no data lies past it (RFC
+        # 9000 section 4.5), so a complete stream stays complete.
+        known = self.final_size
+        if known is not None and (end > known or fin and end != known):
+            raise ProtocolViolation(
+                f"stream data ending at {end} conflicts with final size {known}"
+            )
+        if fin and known is None:
+            ends = [o + len(d) for o, d in self._segments.items()]
+            if end < self.cursor or end < max(ends, default=0):
+                raise ProtocolViolation(f"final size {end} is below received data")
+            self.final_size = end
+        if end <= self.cursor:
             return  # stale duplicate
         if offset < self.cursor:  # partial overlap with delivered data
             data = data[self.cursor - offset :]
@@ -331,8 +350,6 @@ class RecvStream:
 
 @dataclass
 class Stats:
-    packets_sent: int = 0
-    bytes_sent: int = 0
     packets_received: int = 0
     retransmitted_packets: int = 0
     probe_packets: int = 0
@@ -407,15 +424,12 @@ class Connection:
 
         # receive side
         self._received_pns = RangeSet()
-        self._recovered_local: set[int] = set()
         self._recovered_pending: set[int] = set()
-        self._recovered_carriers: dict[int, frozenset] = {}
         self._ack_queued = False
         self._recv_stream = RecvStream(
             expect_fn=pattern_bytes if role == "client" else None,
             keep_data=role == "server",
         )
-        self._peer_stream_done = False
 
         self._handshake_done = False
         self.complete_at_us: Optional[int] = None
@@ -461,9 +475,19 @@ class Connection:
             self._ack_queued = True  # acknowledge again, ignore the payload
             return
         self._received_pns.add(pn)
-        recovered: list[tuple[int, bytes]] = []
+        if self._on_frames(pn, pkt.frames, now):
+            self._ack_queued = True
+        if pkt.fec_protected and self._receiver_fec is not None:
+            self._trace("src_symbol", pn, f"id={pkt.source_id}")
+            self._on_recovered(
+                self._receiver_fec.on_source_symbol(pkt.source_id, data), now
+            )
+
+    def _on_frames(self, pn: int, frames: list, now: int) -> bool:
+        """Handle the frames of a received or recovered packet; returns
+        whether any of them is ack-eliciting."""
         ack_eliciting = False
-        for frame in pkt.frames:
+        for frame in frames:
             if isinstance(frame, AckFrame):
                 self._on_ack_frame(frame, now)
                 continue
@@ -472,54 +496,40 @@ class Connection:
                 self._on_stream_frame(frame, now)
             elif isinstance(frame, HandshakeFrame):
                 self._on_handshake_frame(frame, now)
-            elif isinstance(frame, FecFrame):
-                if self._receiver_fec is not None:
-                    self._trace("repair_symbol", pn, f"id={frame.repair_id:#x}")
-                    recovered.extend(self._receiver_fec.on_fec_frame(frame))
+            elif isinstance(frame, FecFrame) and self._receiver_fec is not None:
+                self._trace("repair_symbol", pn, f"id={frame.repair_id:#x}")
+                self._on_recovered(self._receiver_fec.on_fec_frame(frame), now)
             elif isinstance(frame, RecoveredFrame):
                 self._on_recovered_frame(frame, now)
-        if pkt.fec_protected and self._receiver_fec is not None:
-            self._trace("src_symbol", pn, f"id={pkt.source_id}")
-            recovered.extend(
-                self._receiver_fec.on_source_symbol(pkt.source_id, data)
-            )
-        for _src_id, packet_bytes in recovered:
-            self._process_recovered(packet_bytes, now)
-        if ack_eliciting:
-            self._ack_queued = True
+        return ack_eliciting
 
-    def _process_recovered(self, packet_bytes: bytes, now: int) -> None:
-        pkt = parse_packet(packet_bytes)
-        pn = pkt.packet_number
-        if pn in self._received_pns or pn in self._recovered_local:
-            return  # never report phantom recoveries
-        self._recovered_local.add(pn)
-        self.stats.recovered_packets += 1
-        self._trace("recovered", pn, "")
-        if self._strategy != STRATEGY_NO_ACK:
-            self._received_pns.add(pn)
-            self._ack_queued = True
-        if self._strategy == STRATEGY_RECOVERED_FRAME:
-            self._recovered_pending.add(pn)
-        for frame in pkt.frames:
-            if isinstance(frame, AckFrame):
-                self._on_ack_frame(frame, now)
-            elif isinstance(frame, StreamFrame):
-                self._on_stream_frame(frame, now)
-            elif isinstance(frame, HandshakeFrame):
-                self._on_handshake_frame(frame, now)
+    def _on_recovered(self, recovered: list[tuple[int, bytes]], now: int) -> None:
+        """Take in the packets the decoder rebuilt.  ``ReceiverFec`` reports
+        each one at most once and never one that arrived."""
+        for _src_id, packet_bytes in recovered:
+            pkt = parse_packet(packet_bytes)
+            pn = pkt.packet_number
+            if pn in self._received_pns:
+                continue  # a gap merged by ack pruning: never report it
+            self.stats.recovered_packets += 1
+            self._trace("recovered", pn, "")
+            if self._strategy != STRATEGY_NO_ACK:
+                self._received_pns.add(pn)
+                self._ack_queued = True
+            if self._strategy == STRATEGY_RECOVERED_FRAME:
+                self._recovered_pending.add(pn)
+            self._on_frames(pn, pkt.frames, now)
 
     def _on_stream_frame(self, frame: StreamFrame, now: int) -> None:
-        self._recv_stream.insert(frame.offset, frame.data, frame.fin)
-        if self._recv_stream.complete and not self._peer_stream_done:
-            self._peer_stream_done = True
+        stream = self._recv_stream
+        was_complete = stream.complete
+        stream.insert(frame.offset, frame.data, frame.fin)
+        if stream.complete and not was_complete:
             if self.role == "server":
                 self._start_response(now)
             else:
                 self.complete_at_us = now
-                self._trace(
-                    "response_complete", None, f"bytes={self._recv_stream.cursor}"
-                )
+                self._trace("response_complete", None, f"bytes={stream.cursor}")
 
     def _start_response(self, now: int) -> None:
         size = pattern_request_size(bytes(self._recv_stream.data))
@@ -536,15 +546,10 @@ class Connection:
             if not self._handshake_done:
                 self._handshake_done = True
                 self._trace("hs_complete", None, "")
+                request = b"GET %d" % self.request_size
                 self._send_stream = SendStream(
-                    len(self._request_payload()), self._request_data
+                    len(request), lambda offset, n: request[offset : offset + n]
                 )
-
-    def _request_payload(self) -> bytes:
-        return b"GET %d" % self.request_size
-
-    def _request_data(self, offset: int, n: int) -> bytes:
-        return self._request_payload()[offset : offset + n]
 
     # -- acknowledgements and loss ---------------------------------------------
 
@@ -570,13 +575,10 @@ class Connection:
                     now - self._sent[largest_new].send_time_us
                 )
             for pn in newly:
-                rec = self._sent.pop(pn)
-                self._bytes_in_flight -= rec.size
-                self._hole_since.pop(pn, None)
+                rec = self._retire(pn)
                 self._cc.on_acked(rec.send_time_us, rec.size)
-                carried = self._recovered_carriers.pop(pn, None)
-                if carried:
-                    self._recovered_pending -= carried
+                if rec.recovered:  # the peer heard these Recovered reports
+                    self._recovered_pending -= rec.recovered
             self._tlp_anchor = now
         below = []
         for pn in self._sent:
@@ -605,38 +607,46 @@ class Connection:
             if len(kept) != len(self._retransmit):
                 self._retransmit = kept
         for pn in sorted(listed):
-            rec = self._sent.pop(pn, None)
-            if rec is None:
+            if pn not in self._sent:
                 continue  # already acked, lost or recovered: ignore
-            self._bytes_in_flight -= rec.size
-            self._hole_since.pop(pn, None)
+            rec = self._retire(pn)
             self.stats.peer_recovered_packets += 1
             self._trace("peer_recovered", pn, "")
-            # no retransmission needed, but the loss still happened, so
-            # the congestion controller reacts
-            if self._cc.on_loss(rec.send_time_us, now):
-                self.stats.cwnd_reductions += 1
-                self._trace("cwnd_reduce", pn, f"cwnd={self._cc.cwnd:.0f}")
+            # no retransmission needed, but the loss still happened
+            self._on_loss(rec, now)
 
     def _declare_lost(self, pn: int, now: int, reason: str) -> None:
-        rec = self._sent.pop(pn)
-        self._bytes_in_flight -= rec.size
-        self._hole_since.pop(pn, None)
+        rec = self._retire(pn)
         self.stats.lost_packets += 1
         self._trace("lost", pn, reason)
         if rec.retransmittable:
             self._retransmit.extend((pn, f) for f in rec.retransmittable)
+        self._on_loss(rec, now)
+
+    def _retire(self, pn: int) -> SentRecord:
+        """Take ``pn`` out of the flight: the one way a packet leaves it,
+        whether acked, lost, recovered by the peer or abandoned."""
+        rec = self._sent.pop(pn)
+        self._bytes_in_flight -= rec.size
+        self._hole_since.pop(pn, None)
+        return rec
+
+    def _on_loss(self, rec: SentRecord, now: int) -> None:
+        """The congestion signal of a lost or peer-recovered packet."""
         if self._cc.on_loss(rec.send_time_us, now):
             self.stats.cwnd_reductions += 1
-            self._trace("cwnd_reduce", pn, f"cwnd={self._cc.cwnd:.0f}")
+            self._trace(
+                "cwnd_reduce", rec.packet_number, f"cwnd={self._cc.cwnd:.0f}"
+            )
 
     def _check_time_losses(self, now: int) -> None:
+        # Holes are opened in time order, so the expired ones come first.
         threshold = max(1, self._rtt.srtt_us // HOLE_TIME_FRACTION)
-        for pn, since in list(self._hole_since.items()):
-            if pn not in self._sent:
-                self._hole_since.pop(pn, None)
-            elif now - since >= threshold:
-                self._declare_lost(pn, now, "time_threshold")
+        while self._hole_since:
+            pn, since = next(iter(self._hole_since.items()))
+            if now - since < threshold:
+                break
+            self._declare_lost(pn, now, "time_threshold")
 
     # -- timers -----------------------------------------------------------------
 
@@ -644,8 +654,8 @@ class Connection:
         deadline = None
         if self._sent and self._tlp_anchor is not None:
             deadline = self._tlp_anchor + TLP_SRTT_MULTIPLIER * self._rtt.srtt_us
-        if self._hole_since:
-            hole = min(self._hole_since.values()) + max(
+        if self._hole_since:  # the oldest hole is the first one
+            hole = next(iter(self._hole_since.values())) + max(
                 1, self._rtt.srtt_us // HOLE_TIME_FRACTION
             )
             deadline = hole if deadline is None else min(deadline, hole)
@@ -683,10 +693,8 @@ class Connection:
             # feedback packets whose acks were lost after the data flow
             # finished.  Drop them without a congestion signal.
             for pn in list(self._sent):
-                rec = self._sent.pop(pn)
-                self._bytes_in_flight -= rec.size
+                self._retire(pn)
                 self._trace("abandoned", pn, "")
-            self._hole_since.clear()
         self._tlp_anchor = now
 
     # -- outbound -----------------------------------------------------------------
@@ -721,14 +729,15 @@ class Connection:
             carried = None
             if self._strategy == STRATEGY_RECOVERED_FRAME and self._recovered_pending:
                 # the Recovered frame precedes the ACK so the sender sees
-                # the repair before the acknowledgement of those packets
+                # the repair before the acknowledgement of those packets;
+                # the pns repeat until a packet carrying them is acked
                 carried = frozenset(self._recovered_pending)
                 frames.append(RecoveredFrame(_ranges_of(sorted(carried))))
             frames.append(self._ack_frame())
             self._ack_queued = False
             pkt = self._build(now, frames, "feedback")
             if carried:
-                self._recovered_carriers[pkt.packet_number] = carried
+                self._sent[pkt.packet_number].recovered = carried
             return pkt
         if self._repair_frames:
             if not self._cwnd_ok():
@@ -805,8 +814,6 @@ class Connection:
             self._sent[pn] = SentRecord(pn, now, len(data), retransmittable)
             self._bytes_in_flight += len(data)
             self._tlp_anchor = now
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += len(data)
         if retransmission:
             self.stats.retransmitted_packets += 1
             self._trace("retransmit", pn, kind)

@@ -16,6 +16,8 @@ from fecsim.frames import (
 )
 from fecsim.transport import (
     ACK_RANGE_CAP,
+    HOLE_TIME_FRACTION,
+    MAX_PACKET_SIZE,
     Connection,
     ConnectionConfig,
     FecConfig,
@@ -26,8 +28,10 @@ from fecsim.transport import (
     RecvStream,
     RttEstimator,
     SendStream,
+    SentRecord,
     STRATEGY_NO_ACK,
     STRATEGY_SILENT_ACK,
+    TLP_SRTT_MULTIPLIER,
     acked_in_flight,
     pattern_bytes,
     pattern_request_size,
@@ -170,6 +174,41 @@ def test_recv_stream_detects_corruption():
     rs.insert(0, pattern_bytes(0, 10), False)
     with pytest.raises(ProtocolViolation):
         rs.insert(10, b"\xff" * 4, False)
+
+
+def test_recv_stream_final_size_never_changes():
+    rs = RecvStream(keep_data=True)
+    rs.insert(0, b"abcdef", True)
+    assert rs.complete
+    rs.insert(0, b"abcdef", True)  # a resent FIN that agrees is fine
+    with pytest.raises(ProtocolViolation):
+        rs.insert(100, b"", True)
+    assert rs.complete and rs.final_size == 6
+
+
+def test_recv_stream_rejects_fin_that_moves_a_pending_final_size():
+    rs = RecvStream()
+    rs.insert(5, b"world", True)
+    with pytest.raises(ProtocolViolation):
+        rs.insert(0, b"hello", True)
+    assert rs.final_size == 10
+
+
+@pytest.mark.parametrize("delivered", [True, False])
+def test_recv_stream_rejects_final_size_below_received_data(delivered):
+    rs = RecvStream()
+    rs.insert(0 if delivered else 2, b"abcd", False)
+    with pytest.raises(ProtocolViolation):
+        rs.insert(0, b"ab", True)
+    assert rs.final_size is None and not rs.complete
+
+
+def test_recv_stream_rejects_data_past_final_size():
+    rs = RecvStream(keep_data=True)
+    rs.insert(0, b"abc", True)
+    with pytest.raises(ProtocolViolation):
+        rs.insert(3, b"def", False)
+    assert rs.cursor == 3 and bytes(rs.data) == b"abc"
 
 
 def test_fec_config_labels():
@@ -370,6 +409,104 @@ def test_merged_ack_range_wider_than_flight_acks_everything():
     assert srv.rtt.srtt_us == 200_000
 
 
+FLIGHT = 60
+
+
+def server_with_flight(traces):
+    """A server with packets 1..FLIGHT in flight; packet pn left at pn*100
+    us and carries nothing to retransmit."""
+    srv = Connection(
+        "server",
+        ConnectionConfig(),
+        trace=lambda ev, pn, detail: traces.append((ev, pn, detail)),
+    )
+    for pn in range(1, FLIGHT + 1):
+        srv._sent[pn] = SentRecord(pn, pn * 100, MAX_PACKET_SIZE, [])
+    srv._next_pn = FLIGHT + 1
+    srv._bytes_in_flight = FLIGHT * MAX_PACKET_SIZE
+    srv._tlp_anchor = FLIGHT * 100
+    return srv
+
+
+ack_ranges = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 10)), min_size=1, max_size=8
+).map(lambda draws: [r for r in _ascending_ranges(draws) if r[1] <= FLIGHT])
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 60_000), ack_ranges, st.integers(0, 3)),
+        min_size=1,
+        max_size=12,
+    )
+)
+@example([(1000, [(1, 10)], 2), (1000, [(1, 10)], 3)])  # holes at two times
+def test_hole_timer_and_losses_match_brute_force(acks):
+    """Random ACKs at increasing times, with the hole timer fired when it
+    is due first.  The model gives each outstanding packet the time of the
+    first ACK whose largest acked is above it as its hole time.  When every
+    ACK covers its own largest acked, all holes open at one time; a
+    largest acked above the ranges, which the transport accepts, opens
+    holes at several."""
+    traces = []
+    srv = server_with_flight(traces)
+    outstanding = set(range(1, FLIGHT + 1))
+    history = []  # (time, largest acked) of every ACK so far
+    rtt = RttEstimator()
+    anchor = now = FLIGHT * 100
+    lost = []
+
+    def hole_time(pn):
+        return next((t for t, largest in history if largest > pn), None)
+
+    def deadlines():
+        """(probe deadline, hole deadline); None when not armed."""
+        holes = [hole_time(pn) for pn in outstanding if hole_time(pn) is not None]
+        threshold = max(1, rtt.srtt_us // HOLE_TIME_FRACTION)
+        return (
+            anchor + TLP_SRTT_MULTIPLIER * rtt.srtt_us if outstanding else None,
+            min(holes) + threshold if holes else None,
+        )
+
+    def expire(t):
+        threshold = max(1, rtt.srtt_us // HOLE_TIME_FRACTION)
+        holes = sorted((hole_time(pn), pn) for pn in outstanding if hole_time(pn) is not None)
+        for since, pn in holes:
+            if t - since >= threshold:
+                outstanding.discard(pn)
+                lost.append(("lost", pn, "time_threshold"))
+
+    def check():
+        assert [tr for tr in traces if tr[0] == "lost"] == lost
+        assert srv.bytes_in_flight == len(outstanding) * MAX_PACKET_SIZE
+        armed = [d for d in deadlines() if d is not None]
+        assert srv.next_timer_us() == (min(armed) if armed else None)
+
+    for i, (gap, ranges, above) in enumerate(acks):
+        probe, hole = deadlines()
+        if hole is not None and hole < now + gap and (probe is None or hole < probe):
+            srv.on_timer(hole)
+            expire(hole)
+            check()
+        now += gap
+        largest = min(FLIGHT, ranges[-1][1] + above)
+        deliver(srv, Packet(i + 1, [AckFrame(largest, 0, ranges)]), now)
+        newly = sorted(pn for pn in outstanding if any(lo <= pn <= hi for lo, hi in ranges))
+        if newly:
+            if newly[-1] == largest:
+                rtt.add_sample(now - largest * 100)
+            outstanding.difference_update(newly)
+            anchor = now
+        history.append((now, largest))
+        for pn in sorted(outstanding):
+            if largest - pn >= PACKET_REORDER_THRESHOLD:
+                outstanding.discard(pn)
+                lost.append(("lost", pn, "reorder_threshold"))
+        expire(now)
+        check()
+
+
 def test_recovered_for_unsent_packet_is_protocol_violation():
     srv, _ = make_server()
     with pytest.raises(ProtocolViolation):
@@ -497,8 +634,8 @@ def fec_server_first_stream_packet_dropped(cfg):
     return stream[0], stream[1:] + repairs
 
 
-def fec_client(cfg):
-    cli = Connection("client", cfg, request_size=10)
+def fec_client(cfg, trace=None):
+    cli = Connection("client", cfg, request_size=10, trace=trace)
     cli.start(0)
     cli.flush(0)
     cli.on_datagram(encode_packet(Packet(1, [HandshakeFrame(1)])), 1000)
@@ -556,3 +693,79 @@ def test_no_ack_strategy_withholds_acknowledgement():
     assert not any(isinstance(f, RecoveredFrame) for f in frames)
     for ack in (f for f in frames if isinstance(f, AckFrame)):
         assert not any(lo <= dropped.packet_number <= hi for lo, hi in ack.ranges)
+
+
+def recovered_reports(packets):
+    """The packet numbers each outgoing Recovered frame lists."""
+    return [
+        [pn for lo, hi in f.ranges for pn in range(lo, hi + 1)]
+        for p in packets
+        for f in parse_packet(p.data).frames
+        if isinstance(f, RecoveredFrame)
+    ]
+
+
+def test_recovered_reports_repeat_until_a_carrier_is_acked():
+    cfg = ConnectionConfig(fec=FecConfig.rlc(2, 1, 4))
+    dropped, delivered = fec_server_first_stream_packet_dropped(cfg)
+    traces = []
+    cli = fec_client(cfg, trace=lambda ev, pn, detail: traces.append((ev, pn, detail)))
+    for p in delivered:
+        cli.on_datagram(p.data, 2000)
+    x = dropped.packet_number
+    first = cli.flush(2100)
+    assert recovered_reports(first) == [[x]]
+    # every feedback packet repeats the report while no carrier is acked
+    deliver(cli, Packet(1000, [HandshakeFrame(1)]), 3000)
+    second = cli.flush(3000)
+    assert recovered_reports(second) == [[x]]
+    carriers = [first[0].packet_number, second[0].packet_number]
+    # the probe resends the request above both carriers; an ACK of all
+    # below them and of the probe leaves the carriers as holes that the
+    # timer declares lost
+    probe_at = cli.next_timer_us()
+    cli.on_timer(probe_at)
+    probe = cli.flush(probe_at)[0]
+    assert probe.kind == "probe" and probe.packet_number > carriers[-1]
+    ack_at = probe_at + 100_000
+    ranges = [(1, carriers[0] - 1), (probe.packet_number, probe.packet_number)]
+    deliver(cli, Packet(2000, [AckFrame(probe.packet_number, 0, ranges)]), ack_at)
+    hole_at = cli.next_timer_us()
+    assert hole_at == ack_at + 100_000 // HOLE_TIME_FRACTION
+    cli.on_timer(hole_at)
+    assert [tr for tr in traces if tr[0] == "lost"] == [
+        ("lost", pn, "time_threshold") for pn in carriers
+    ]
+    # a lost carrier does not end the repetition
+    deliver(cli, Packet(1001, [HandshakeFrame(1)]), hole_at + 1)
+    third = cli.flush(hole_at + 1)
+    assert recovered_reports(third) == [[x]]
+    # an acked carrier does
+    carrier = third[0].packet_number
+    ranges = [(1, carriers[0] - 1), (probe.packet_number, carrier)]
+    deliver(cli, Packet(2001, [AckFrame(carrier, 0, ranges)]), hole_at + 2)
+    deliver(cli, Packet(1002, [HandshakeFrame(1)]), hole_at + 3)
+    fourth = cli.flush(hole_at + 3)
+    assert [p.kind for p in fourth] == ["feedback"]
+    assert recovered_reports(fourth) == []
+
+
+def test_client_completes_once():
+    traces = []
+    cli = Connection(
+        "client",
+        ConnectionConfig(),
+        request_size=4,
+        trace=lambda ev, pn, detail: traces.append((ev, pn, detail)),
+    )
+    cli.start(0)
+    cli.flush(0)
+    deliver(cli, Packet(1, [HandshakeFrame(1)]), 1000)
+    cli.flush(1000)
+    response = StreamFrame(0, 0, True, pattern_bytes(0, 4))
+    deliver(cli, Packet(2, [response]), 2000)
+    deliver(cli, Packet(3, [response]), 3000)  # a resent copy
+    assert cli.complete_at_us == 2000
+    assert [tr for tr in traces if tr[0] == "response_complete"] == [
+        ("response_complete", None, "bytes=4")
+    ]
