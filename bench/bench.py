@@ -1,10 +1,10 @@
-"""Micro-benchmarks of the coding layer, the packet codec and the ACK and
-loss paths, and the seed-0 output hashes.
+"""Micro-benchmarks of the coding layer, the packet codec, the ACK and
+loss paths and the event loop, and the seed-0 output hashes.
 
 Run from the root of a checkout; fecsim is imported from that checkout's
 ``src/``::
 
-    python3 bench/bench.py --out BENCH_8.json
+    python3 bench/bench.py --out BENCH_9.json
 
 The JSON records:
 
@@ -18,11 +18,16 @@ The JSON records:
   - ``Connection._on_ack_frame`` on a 300-packet flight with a 32-range
     ACK, and ``encode_frame`` and ``parse_frames`` on a 32-range
     ``AckFrame``;
+  - ``Connection._ack_frame``, building the ACK from a 64-range
+    ``RangeSet``;
   - ``Connection.next_timer_us`` on a 300-packet flight after an ACK that
     leaves two holes, and the ``Connection.on_timer`` call that declares
     both lost by the time threshold;
   - ``encode_packet`` and ``parse_packet`` of a full protected packet
-    holding one stream frame.
+    holding one stream frame;
+  - ``Simulator.run`` per no-op event, over 1000 events at increasing
+    times, and ``GilbertElliottLoss.sequence`` of 10,000 decisions at the
+    middle of the sampled parameter box.
   Symbols are 1208 bytes, the width of a full packet's symbol;
 * ``outputs``: the sha256 and host time of one ``fecsim run --seed 0``
   and one ``fecsim fairness --seed 0 --count 1``.  Equal hashes between
@@ -50,6 +55,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from fecsim import cli, gf256, schemes  # noqa: E402
+from fecsim.netem import GilbertElliottLoss, Simulator  # noqa: E402
 from fecsim.frames import (  # noqa: E402
     AckFrame,
     Packet,
@@ -70,6 +76,7 @@ from fecsim.transport import (  # noqa: E402
 
 FLIGHT = 300
 RANGES = 32
+EVENTS = 1000
 FRESH_REPEATS = 1000
 SYMBOL = schemes.DEFAULT_SYMBOL_SIZE
 RS = schemes.BlockCodeParams(30, 20)
@@ -81,8 +88,8 @@ RLC_SEED = 0xBEEF
 def ack_with_gaps() -> AckFrame:
     """32 ranges of 8 packets over the oldest 287 packets of the flight,
     with a one-packet hole between neighbours: all 31 holes are lost."""
-    ranges = [(1 + 9 * i, 8 + 9 * i) for i in range(RANGES)]
-    return AckFrame(ranges[-1][1], 0, ranges)
+    bounds = tuple(v for i in range(RANGES) for v in (1 + 9 * i, 8 + 9 * i))
+    return AckFrame(bounds[-1], 0, bounds)
 
 
 def server_with_flight() -> Connection:
@@ -99,7 +106,7 @@ def server_with_holes() -> Connection:
     153: packets 151 and 152 are holes, too shallow for the reorder
     threshold, so only the hole timer can declare them lost."""
     conn = server_with_flight()
-    conn._on_ack_frame(AckFrame(153, 0, [(1, 150), (153, 153)]), 100_000)
+    conn._on_ack_frame(AckFrame(153, 0, (1, 150, 153, 153)), 100_000)
     return conn
 
 
@@ -128,6 +135,48 @@ def packet_micro() -> dict:
     return {
         "frames.encode_packet_full_stream": bench_call(lambda: encode_packet(packet)),
         "frames.parse_packet_full_stream": bench_call(lambda: parse_packet(wire)),
+    }
+
+
+def ack_build_micro() -> dict:
+    """The feedback path's ACK: 64 two-packet ranges received, so the
+    frame carries the newest 32."""
+    conn = Connection("client", ConnectionConfig(), request_size=1)
+    for i in range(2 * RANGES):
+        conn._received_pns.add(3 * i + 1)
+        conn._received_pns.add(3 * i + 2)
+    ack = conn._ack_frame()
+    if len(conn._received_pns) != 2 * RANGES or len(ack.ranges) != RANGES:
+        raise SystemExit("the ACK must carry the newest 32 of 64 ranges")
+    return {"transport.ack_frame_64_ranges": bench_call(conn._ack_frame)}
+
+
+def _noop() -> None:
+    pass
+
+
+def netem_micro() -> dict:
+    def loaded() -> Simulator:
+        sim = Simulator()
+        for t in range(EVENTS):
+            sim.schedule_at(t, _noop)
+        return sim
+
+    sim = loaded()
+    sim.run()
+    if sim.events_run != EVENTS or not sim.idle:
+        raise SystemExit("the simulator must run every scheduled event")
+    per_run = bench_fresh(loaded, Simulator.run)
+    loss = GilbertElliottLoss(0.045, 0.29, 0.99, 0.05, seed=0)
+    return {
+        "netem.simulator_empty_event": {
+            **per_run,
+            "median_us": per_run["median_us"] / EVENTS,
+            "events_per_sample": EVENTS,
+        },
+        "netem.gilbert_elliott_sequence_10k": bench_call(
+            lambda: loss.sequence(10_000), number=20
+        ),
     }
 
 
@@ -236,8 +285,10 @@ def main() -> int:
             "transport.on_ack_frame_300_flight_32_ranges": bench_on_ack_frame(),
             "frames.encode_ack_32_ranges": bench_call(lambda: encode_frame(ack)),
             "frames.parse_ack_32_ranges": bench_call(lambda: parse_frames(wire)),
+            **ack_build_micro(),
             **loss_path_micro(),
             **packet_micro(),
+            **netem_micro(),
         },
         "outputs": {
             "run_csv_seed0": cli_output(["run", "--seed", "0"]),

@@ -109,7 +109,7 @@ def split_repair_id(raw: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Repair frame wire format
 
-@dataclass
+@dataclass(slots=True)
 class FecFrame:
     """One chunk of a repair symbol plus its announced code shape."""
 

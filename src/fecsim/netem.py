@@ -13,18 +13,20 @@ for a given seed no matter which side transmits first.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .rng import SplitMix64
-from .transport import Connection, OutPacket
+from .transport import Connection
 
 DEFAULT_QUEUE_PACKETS = 50
 DEFAULT_MAX_EVENTS = 10_000_000
+
+_NO_ARG = object()  # an event scheduled without an argument
 
 
 class SimulationRunaway(RuntimeError):
@@ -40,7 +42,13 @@ def serialization_us(nbytes: int, bandwidth_bps: int) -> int:
 
 
 class Simulator:
-    """Min-heap event loop; ties break in scheduling order."""
+    """Min-heap event loop; ties break in scheduling order.
+
+    An event is ``(time, seq, fn, arg)`` and runs ``fn(arg)``, or ``fn()``
+    when it was scheduled without an argument, so links and hosts schedule
+    bound methods with their datagram or timer generation instead of
+    building a closure per event.
+    """
 
     def __init__(self, max_events: int = DEFAULT_MAX_EVENTS):
         self.now_us = 0
@@ -49,12 +57,14 @@ class Simulator:
         self._heap: list = []
         self._seq = 0
 
-    def schedule_at(self, time_us: int, fn: Callable[[], None]) -> None:
-        heapq.heappush(self._heap, (max(time_us, self.now_us), self._seq, fn))
+    def schedule_at(self, time_us: int, fn: Callable, arg=_NO_ARG) -> None:
+        if time_us < self.now_us:
+            time_us = self.now_us
+        heappush(self._heap, (time_us, self._seq, fn, arg))
         self._seq += 1
 
-    def schedule(self, delay_us: int, fn: Callable[[], None]) -> None:
-        self.schedule_at(self.now_us + delay_us, fn)
+    def schedule(self, delay_us: int, fn: Callable, arg=_NO_ARG) -> None:
+        self.schedule_at(self.now_us + delay_us, fn, arg)
 
     @property
     def idle(self) -> bool:
@@ -67,22 +77,23 @@ class Simulator:
     ) -> None:
         """Process events until the heap drains, ``until_us`` is passed,
         or ``stop_when()`` turns true."""
-        while self._heap:
+        heap = self._heap
+        limit = self.max_events
+        while heap:
             if stop_when is not None and stop_when():
                 return
-            if until_us is not None and self._heap[0][0] > until_us:
+            if until_us is not None and heap[0][0] > until_us:
                 self.now_us = until_us
                 return
-            time_us, _, fn = heapq.heappop(self._heap)
+            time_us, _, fn, arg = heappop(heap)
             self.events_run += 1
-            if self.events_run > self.max_events:
-                raise SimulationRunaway(
-                    f"exceeded {self.max_events} events at t={time_us}us"
-                )
+            if self.events_run > limit:
+                raise SimulationRunaway(f"exceeded {limit} events at t={time_us}us")
             self.now_us = time_us
-            fn()
-        if stop_when is not None and stop_when():
-            return
+            if arg is _NO_ARG:
+                fn()
+            else:
+                fn(arg)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +211,7 @@ class PredicateLoss:
 # ---------------------------------------------------------------------------
 # Links and hosts
 
-@dataclass
+@dataclass(slots=True)
 class Datagram:
     data: bytes
     src: str
@@ -245,6 +256,7 @@ class Link:
         self._trace = trace
         self._queue: deque[Datagram] = deque()
         self._busy = False
+        self._serialization_us: dict[int, int] = {}  # packet size -> time
 
     def send(self, dgram: Datagram) -> None:
         if self._busy:
@@ -259,17 +271,21 @@ class Link:
 
     def _begin(self, dgram: Datagram) -> None:
         self._busy = True
-        self.sim.schedule(
-            serialization_us(dgram.size, self.bandwidth_bps),
-            lambda: self._finish(dgram),
-        )
+        size = len(dgram.data)
+        wire_us = self._serialization_us.get(size)
+        if wire_us is None:
+            wire_us = self._serialization_us[size] = serialization_us(size, self.bandwidth_bps)
+        sim = self.sim
+        sim.schedule_at(sim.now_us + wire_us, self._finish, dgram)
 
     def _finish(self, dgram: Datagram) -> None:
         # the packet occupied the wire whether or not it now gets lost
-        self.stats.wire_bytes += dgram.size
-        self.stats.wire_packets += 1
+        stats = self.stats
+        stats.wire_bytes += len(dgram.data)
+        stats.wire_packets += 1
         if self.loss is None or self.loss.decide(dgram):
-            self.sim.schedule(self.delay_us, lambda: self._arrive(dgram))
+            sim = self.sim
+            sim.schedule_at(sim.now_us + self.delay_us, self._arrive, dgram)
         else:
             self.stats.random_drops += 1
             if self._trace:
@@ -292,7 +308,8 @@ class Host:
         self.sim = sim
         self.conn = conn
         self.name = name
-        self.network: Optional["Network"] = None
+        # (outbound link, peer host name), set by Network.attach_pair
+        self.route: Optional[tuple[Link, str]] = None
         self._timer_gen = 0
 
     def start(self) -> None:
@@ -304,8 +321,10 @@ class Host:
         self.pump()
 
     def pump(self) -> None:
+        link, peer = self.route
+        name = self.name
         for out in self.conn.flush(self.sim.now_us):
-            self.network.send(self.name, out)
+            link.send(Datagram(out.data, name, peer, out.packet_number, out.kind))
         self._arm_timer()
 
     def _arm_timer(self) -> None:
@@ -313,8 +332,7 @@ class Host:
         self._timer_gen += 1
         if deadline is None:
             return
-        gen = self._timer_gen
-        self.sim.schedule_at(deadline, lambda: self._on_timer(gen))
+        self.sim.schedule_at(deadline, self._on_timer, self._timer_gen)
 
     def _on_timer(self, gen: int) -> None:
         if gen != self._timer_gen:
@@ -340,8 +358,6 @@ class Network:
     ):
         self.sim = sim
         self._hosts: dict[str, Host] = {}
-        self._peer: dict[str, str] = {}
-        self._side: dict[str, str] = {}
         self.links = {
             side: Link(
                 sim,
@@ -356,24 +372,14 @@ class Network:
         }
 
     def attach_pair(self, client_host: Host, server_host: Host) -> None:
-        for host, side in ((client_host, "fwd"), (server_host, "rev")):
+        for host, peer, side in (
+            (client_host, server_host, "fwd"),
+            (server_host, client_host, "rev"),
+        ):
             if host.name in self._hosts:
                 raise ValueError(f"duplicate host name {host.name!r}")
             self._hosts[host.name] = host
-            self._side[host.name] = side
-            host.network = self
-        self._peer[client_host.name] = server_host.name
-        self._peer[server_host.name] = client_host.name
-
-    def send(self, src: str, out: OutPacket) -> None:
-        dgram = Datagram(
-            out.data,
-            src,
-            self._peer[src],
-            out.packet_number,
-            out.kind,
-        )
-        self.links[self._side[src]].send(dgram)
+            host.route = (self.links[side], peer.name)
 
     def _on_arrival(self, dgram: Datagram) -> None:
         self._hosts[dgram.dst].on_datagram(dgram)

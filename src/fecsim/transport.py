@@ -21,14 +21,25 @@ of four reasons: it is acknowledged; it is declared lost, which queues
 its frames again and signals congestion; the peer reports it recovered,
 which signals congestion but resends nothing; or the probe abandons it
 when nothing worth probing is left.
+
+Packet-number ranges stay flat inclusive bounds ``(lo0, hi0, lo1, hi1,
+...)`` from the receiver's :class:`RangeSet` through the ACK frame to
+:func:`acked_in_flight`; nothing builds (lo, hi) pairs on the way.
+:mod:`fecsim.frames` rejects a range with ``hi < lo`` as
+``MalformedFrame``.  ``Connection._on_ack_frame`` raises
+:class:`ProtocolViolation` for an ACK with no range, with ranges out of
+order or overlapping, with a largest acknowledged other than the top of
+its newest range (RFC 9000 section 19.3), or naming an unsent packet.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import takewhile
+from operator import lt
 from typing import Callable, Optional
 
 from . import framework
@@ -81,8 +92,9 @@ RECOVERED_STRATEGIES = (
 
 class ProtocolViolation(Exception):
     """The peer sent something the protocol forbids: references to packets
-    this endpoint never sent, ACK ranges that are not ascending and
-    disjoint, a malformed request or corrupted stream bytes."""
+    this endpoint never sent, ACK ranges that are missing or not ascending
+    and disjoint, a largest acknowledged that does not top the ACK's
+    ranges, a malformed request or corrupted stream bytes."""
 
 
 # Whole periods of the response pattern, at least one more than a packet holds.
@@ -92,6 +104,8 @@ _PATTERN = bytes(range(256)) * (MAX_PACKET_SIZE // 256 + 2)
 def pattern_bytes(offset: int, n: int) -> bytes:
     """The deterministic response payload: byte i is i mod 256."""
     start = offset & 0xFF
+    if start + n <= len(_PATTERN):  # always, for one packet's worth
+        return _PATTERN[start : start + n]
     return (_PATTERN * ((start + n) // len(_PATTERN) + 1))[start : start + n]
 
 
@@ -147,50 +161,55 @@ class ConnectionConfig:
 # Small sender-side state holders
 
 class RangeSet:
-    """Sorted, disjoint, inclusive integer ranges."""
+    """Sorted, disjoint, inclusive integer ranges, held as the flat
+    ascending bounds ``[lo0, hi0, lo1, hi1, ...]`` an ACK frame carries."""
 
     def __init__(self) -> None:
-        self._starts: list[int] = []
-        self._ends: list[int] = []
+        self.bounds: list[int] = []
 
-    def add(self, value: int) -> None:
-        i = bisect_right(self._starts, value)
-        if i and self._ends[i - 1] >= value:
-            return  # already covered
-        if i and self._ends[i - 1] == value - 1:
-            self._ends[i - 1] = value
-            if i < len(self._starts) and self._starts[i] == value + 1:
-                self._ends[i - 1] = self._ends[i]
-                del self._starts[i], self._ends[i]
-            return
-        if i < len(self._starts) and self._starts[i] == value + 1:
-            self._starts[i] = value
-            return
-        self._starts.insert(i, value)
-        self._ends.insert(i, value)
+    def add(self, value: int) -> bool:
+        """Add ``value``; returns whether it was not already covered."""
+        b = self.bounds
+        if b and b[-1] == value - 1:  # the next packet in order
+            b[-1] = value
+            return True
+        i = bisect_right(b, value)
+        if i & 1 or i and b[i - 1] == value:
+            return False  # inside a range, or its top
+        if i and b[i - 1] == value - 1:
+            if i < len(b) and b[i] == value + 1:
+                del b[i - 1 : i + 1]  # closes the gap between two ranges
+            else:
+                b[i - 1] = value
+        elif i < len(b) and b[i] == value + 1:
+            b[i] = value
+        else:
+            b[i:i] = (value, value)
+        return True
 
     def __contains__(self, value: int) -> bool:
-        i = bisect_right(self._starts, value)
-        return bool(i) and self._ends[i - 1] >= value
+        b = self.bounds
+        i = bisect_right(b, value)
+        return bool(i & 1) or bool(i) and b[i - 1] == value
 
     def __len__(self) -> int:
-        return len(self._starts)
+        return len(self.bounds) >> 1
 
     def ranges(self) -> list[tuple[int, int]]:
-        return list(zip(self._starts, self._ends))
+        return list(zip(self.bounds[::2], self.bounds[1::2]))
 
     def prune(self, max_ranges: int) -> None:
         """Merge the oldest ranges (closing their gaps) until at most
         ``max_ranges`` remain."""
-        while len(self._starts) > max_ranges:
-            del self._starts[1]
-            del self._ends[0]
+        excess = len(self.bounds) - 2 * max_ranges
+        if excess > 0:
+            del self.bounds[1 : 1 + excess]
 
     @property
     def largest(self) -> int:
-        if not self._ends:
+        if not self.bounds:
             raise ValueError("empty range set")
-        return self._ends[-1]
+        return self.bounds[-1]
 
 
 class RttEstimator:
@@ -258,7 +277,7 @@ class NewReno:
         return True
 
 
-@dataclass
+@dataclass(slots=True)
 class SentRecord:
     packet_number: int
     send_time_us: int
@@ -327,22 +346,22 @@ class RecvStream:
             if end < self.cursor or end < max(ends, default=0):
                 raise ProtocolViolation(f"final size {end} is below received data")
             self.final_size = end
-        if end <= self.cursor:
-            return  # stale duplicate
-        if offset < self.cursor:  # partial overlap with delivered data
-            data = data[self.cursor - offset :]
-            offset = self.cursor
-        if offset in self._segments:
-            return
-        self._segments[offset] = data
-        while self.cursor in self._segments:
-            chunk = self._segments.pop(self.cursor)
+        segments = self._segments
+        if end <= self.cursor or len(data) <= len(segments.get(offset, b"")):
+            return  # stale, empty, or no longer than a buffered segment
+        segments[offset] = data
+        # Deliver every segment that reaches past the cursor from at or
+        # below it, trimming the head it shares with delivered data.
+        while segments:
+            start = self.cursor if self.cursor in segments else min(segments)
+            if start > self.cursor:
+                break
+            chunk = segments.pop(start)[self.cursor - start :]
+            if not chunk:
+                continue
             if self._expect_fn is not None:
-                expected = self._expect_fn(self.cursor, len(chunk))
-                if chunk != expected:
-                    raise ProtocolViolation(
-                        f"stream corruption at offset {self.cursor}"
-                    )
+                if chunk != self._expect_fn(self.cursor, len(chunk)):
+                    raise ProtocolViolation(f"stream corruption at offset {self.cursor}")
             if self.data is not None:
                 self.data.extend(chunk)
             self.cursor += len(chunk)
@@ -359,7 +378,7 @@ class Stats:
     cwnd_reductions: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class OutPacket:
     """A wire-ready packet plus metadata for the emulator and tests."""
 
@@ -453,9 +472,11 @@ class Connection:
         """Contiguously delivered stream bytes."""
         return self._recv_stream.cursor
 
-    def _trace(self, event: str, pn: Optional[int], detail: str = "") -> None:
+    def _trace(self, event: str, pn: Optional[int], detail: str = "", *args) -> None:
+        """Report to the tracer; ``detail % args`` is formatted only when
+        one is attached."""
         if self._trace_fn is not None:
-            self._trace_fn(event, pn, detail)
+            self._trace_fn(event, pn, detail % args if args else detail)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -471,14 +492,13 @@ class Connection:
         self.stats.packets_received += 1
         pkt = parse_packet(data)
         pn = pkt.packet_number
-        if pn in self._received_pns:
+        if not self._received_pns.add(pn):
             self._ack_queued = True  # acknowledge again, ignore the payload
             return
-        self._received_pns.add(pn)
         if self._on_frames(pn, pkt.frames, now):
             self._ack_queued = True
         if pkt.fec_protected and self._receiver_fec is not None:
-            self._trace("src_symbol", pn, f"id={pkt.source_id}")
+            self._trace("src_symbol", pn, "id=%d", pkt.source_id)
             self._on_recovered(
                 self._receiver_fec.on_source_symbol(pkt.source_id, data), now
             )
@@ -488,18 +508,19 @@ class Connection:
         whether any of them is ack-eliciting."""
         ack_eliciting = False
         for frame in frames:
-            if isinstance(frame, AckFrame):
+            kind = type(frame)
+            if kind is AckFrame:
                 self._on_ack_frame(frame, now)
                 continue
             ack_eliciting = True
-            if isinstance(frame, StreamFrame):
+            if kind is StreamFrame:
                 self._on_stream_frame(frame, now)
-            elif isinstance(frame, HandshakeFrame):
+            elif kind is HandshakeFrame:
                 self._on_handshake_frame(frame, now)
-            elif isinstance(frame, FecFrame) and self._receiver_fec is not None:
-                self._trace("repair_symbol", pn, f"id={frame.repair_id:#x}")
+            elif kind is FecFrame and self._receiver_fec is not None:
+                self._trace("repair_symbol", pn, "id=%#x", frame.repair_id)
                 self._on_recovered(self._receiver_fec.on_fec_frame(frame), now)
-            elif isinstance(frame, RecoveredFrame):
+            elif kind is RecoveredFrame:
                 self._on_recovered_frame(frame, now)
         return ack_eliciting
 
@@ -554,23 +575,23 @@ class Connection:
     # -- acknowledgements and loss ---------------------------------------------
 
     def _on_ack_frame(self, ack: AckFrame, now: int) -> None:
-        if ack.largest_acked >= self._next_pn:
+        bounds = ack.bounds
+        largest = ack.largest_acked
+        # each hi below the next lo (frames checked lo <= hi within a range)
+        if not all(map(lt, bounds[1:-1:2], bounds[2::2])):
             raise ProtocolViolation(
-                f"peer acked unsent packet {ack.largest_acked}"
+                f"ack ranges {ack.ranges} are not ascending and disjoint"
             )
-        prev_hi = -1
-        for lo, hi in ack.ranges:
-            if lo <= prev_hi:
-                raise ProtocolViolation(
-                    f"ack range ({lo}, {hi}) is not ascending and disjoint"
-                )
-            prev_hi = hi
-        if prev_hi >= self._next_pn:
-            raise ProtocolViolation(f"peer acked unsent packet {prev_hi}")
-        newly = acked_in_flight(self._sent, ack.ranges)
+        if not bounds or bounds[-1] != largest:
+            raise ProtocolViolation(
+                f"largest acked {largest} does not top the ack ranges {ack.ranges}"
+            )
+        if largest >= self._next_pn:
+            raise ProtocolViolation(f"peer acked unsent packet {largest}")
+        newly = acked_in_flight(self._sent, bounds)
         if newly:
             largest_new = newly[-1]
-            if largest_new == ack.largest_acked:
+            if largest_new == largest:
                 self._rtt.add_sample(
                     now - self._sent[largest_new].send_time_us
                 )
@@ -580,13 +601,10 @@ class Connection:
                 if rec.recovered:  # the peer heard these Recovered reports
                     self._recovered_pending -= rec.recovered
             self._tlp_anchor = now
-        below = []
-        for pn in self._sent:
-            if pn >= ack.largest_acked:
-                break
-            below.append(pn)
-        for pn in below:
-            if ack.largest_acked - pn >= PACKET_REORDER_THRESHOLD:
+        # the packets left below the largest acked; listed first, since
+        # declaring one lost retires it from the flight
+        for pn in list(takewhile(largest.__gt__, self._sent)):
+            if largest - pn >= PACKET_REORDER_THRESHOLD:
                 self._declare_lost(pn, now, "reorder_threshold")
             else:
                 self._hole_since.setdefault(pn, now)
@@ -594,7 +612,8 @@ class Connection:
 
     def _on_recovered_frame(self, frame: RecoveredFrame, now: int) -> None:
         listed = set()
-        for lo, hi in frame.ranges:
+        bounds = iter(frame.bounds)
+        for lo, hi in zip(bounds, bounds):
             if hi >= self._next_pn:
                 raise ProtocolViolation(f"peer recovered unsent packet {hi}")
             listed.update(range(lo, hi + 1))
@@ -635,9 +654,7 @@ class Connection:
         """The congestion signal of a lost or peer-recovered packet."""
         if self._cc.on_loss(rec.send_time_us, now):
             self.stats.cwnd_reductions += 1
-            self._trace(
-                "cwnd_reduce", rec.packet_number, f"cwnd={self._cc.cwnd:.0f}"
-            )
+            self._trace("cwnd_reduce", rec.packet_number, "cwnd=%.0f", self._cc.cwnd)
 
     def _check_time_losses(self, now: int) -> None:
         # Holes are opened in time order, so the expired ones come first.
@@ -732,7 +749,7 @@ class Connection:
                 # the repair before the acknowledgement of those packets;
                 # the pns repeat until a packet carrying them is acked
                 carried = frozenset(self._recovered_pending)
-                frames.append(RecoveredFrame(_ranges_of(sorted(carried))))
+                frames.append(RecoveredFrame(_bounds_of(sorted(carried))))
             frames.append(self._ack_frame())
             self._ack_queued = False
             pkt = self._build(now, frames, "feedback")
@@ -747,7 +764,7 @@ class Connection:
             if not self._cwnd_ok():
                 return None
             _, frame = self._retransmit.popleft()
-            kind = "stream" if isinstance(frame, StreamFrame) else "hs"
+            kind = "stream" if type(frame) is StreamFrame else "hs"
             return self._build(now, [frame], kind, retransmission=True)
         stream = self._send_stream
         if stream is not None and stream.has_pending and self._handshake_done:
@@ -775,9 +792,10 @@ class Connection:
         # Old gaps are final on a FIFO path: the sender has long since
         # resolved those packets, so fragmentation history only bloats
         # every subsequent ack.  Keep the newest ranges only.
-        self._received_pns.prune(2 * ACK_RANGE_CAP)
-        ranges = self._received_pns.ranges()[-ACK_RANGE_CAP:]
-        return AckFrame(ranges[-1][1], 0, ranges)
+        received = self._received_pns
+        received.prune(2 * ACK_RANGE_CAP)
+        bounds = tuple(received.bounds[-2 * ACK_RANGE_CAP :])
+        return AckFrame(bounds[-1], 0, bounds)
 
     def _queue_repair_frames(self) -> None:
         if self._sender_fec is None:
@@ -791,7 +809,18 @@ class Connection:
     def _build(
         self, now: int, frames: list, kind: str, retransmission: bool = False
     ) -> OutPacket:
-        has_stream = any(isinstance(f, StreamFrame) for f in frames)
+        has_stream = ack_eliciting = False
+        retransmittable = []
+        for f in frames:
+            frame_kind = type(f)
+            if frame_kind is AckFrame:
+                continue
+            ack_eliciting = True
+            if frame_kind is StreamFrame:
+                has_stream = True
+                retransmittable.append(f)
+            elif frame_kind is HandshakeFrame:
+                retransmittable.append(f)
         protect = has_stream and self._sender_fec is not None
         pn = self._next_pn
         self._next_pn += 1
@@ -806,33 +835,30 @@ class Connection:
         if protect:
             self._sender_fec.commit_source(source_id, data)
             self._queue_repair_frames()
-        ack_eliciting = any(not isinstance(f, AckFrame) for f in frames)
         if ack_eliciting:
-            retransmittable = [
-                f for f in frames if isinstance(f, (StreamFrame, HandshakeFrame))
-            ]
             self._sent[pn] = SentRecord(pn, now, len(data), retransmittable)
             self._bytes_in_flight += len(data)
             self._tlp_anchor = now
         if retransmission:
             self.stats.retransmitted_packets += 1
             self._trace("retransmit", pn, kind)
-        self._trace("send", pn, kind)
+        if self._trace_fn is not None:  # per packet: no call when untraced
+            self._trace_fn("send", pn, kind)
         return OutPacket(data, pn, kind)
 
 
-def acked_in_flight(
-    sent: dict[int, SentRecord], ranges: list[tuple[int, int]]
-) -> list[int]:
+def acked_in_flight(sent: dict[int, SentRecord], bounds) -> list[int]:
     """The packet numbers in ``sent`` that the ascending, disjoint ACK
-    ``ranges`` cover, in ascending order.
+    ranges cover, in ascending order; ``bounds`` holds the ranges as flat
+    inclusive bounds ``(lo0, hi0, lo1, hi1, ...)``.
 
     ``sent`` is keyed in send order, so its first and last keys bound the
-    flight.  Each range is clipped to those bounds and probed once per
-    packet number, unless it is still wider than the flight (an old range
-    merged by :meth:`RangeSet.prune`); then the flight is filtered
-    instead.  The cost follows the ranges and the acked packets, not
-    flight x ranges.
+    flight.  The walk starts at the range that holds or follows the oldest
+    packet in flight, found by bisection, and stops past the newest.  Each
+    range is clipped to the flight and probed once per packet number,
+    unless it is still wider than the flight (an old range merged by
+    :meth:`RangeSet.prune`); then the flight is filtered instead.  The
+    cost follows the ranges and the acked packets, not flight x ranges.
     """
     if not sent:
         return []
@@ -840,15 +866,17 @@ def acked_in_flight(
     last = next(reversed(sent))
     flight = len(sent)
     out: list[int] = []
-    for lo, hi in ranges:
-        if hi < first:
-            continue
+    # an odd insertion point lies inside a range: start at its lo
+    rest = iter(bounds[bisect_left(bounds, first) & ~1 :])
+    for lo, hi in zip(rest, rest):
         if lo > last:
             break
-        lo = max(lo, first)
-        hi = min(hi, last)
+        if lo < first:
+            lo = first
+        if hi > last:
+            hi = last
         if hi - lo < flight:
-            out.extend([pn for pn in range(lo, hi + 1) if pn in sent])
+            out.extend(filter(sent.__contains__, range(lo, hi + 1)))
         else:
             for pn in sent:
                 if pn > hi:
@@ -858,15 +886,15 @@ def acked_in_flight(
     return out
 
 
-def _ranges_of(values: list[int]) -> list[tuple[int, int]]:
-    """Collapse a sorted pn list into inclusive ranges."""
-    out: list[tuple[int, int]] = []
+def _bounds_of(values: list[int]) -> tuple[int, ...]:
+    """Collapse a sorted pn list into the flat bounds of inclusive ranges."""
+    out: list[int] = []
     for v in values:
-        if out and out[-1][1] == v - 1:
-            out[-1] = (out[-1][0], v)
+        if out and out[-1] == v - 1:
+            out[-1] = v
         else:
-            out.append((v, v))
-    return out
+            out += (v, v)
+    return tuple(out)
 
 
 def pattern_request_size(request: bytes) -> int:

@@ -1,5 +1,7 @@
 """Transport frame and packet wire encodings."""
 
+from itertools import chain
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -41,7 +43,7 @@ def test_golden_stream_frame():
 
 
 def test_golden_ack_frame():
-    wire = encode_frame(AckFrame(5, 0, [(1, 2), (4, 5)]))
+    wire = encode_frame(AckFrame(5, 0, (1, 2, 4, 5)))
     assert wire.hex() == (
         "020000000000000005000000000002"
         "00000000000000010000000000000002"
@@ -50,7 +52,7 @@ def test_golden_ack_frame():
 
 
 def test_golden_recovered_frame():
-    wire = encode_frame(RecoveredFrame([(7, 7)]))
+    wire = encode_frame(RecoveredFrame((7, 7)))
     assert wire.hex() == "0b000100000000000000070000000000000007"
 
 
@@ -62,8 +64,8 @@ def test_all_frame_types_roundtrip():
     frames = [
         HandshakeFrame(0),
         StreamFrame(4, 12345, False, b"payload bytes"),
-        AckFrame(90, 250, [(0, 3), (7, 90)]),
-        RecoveredFrame([(2, 2), (5, 8)]),
+        AckFrame(90, 250, (0, 3, 7, 90)),
+        RecoveredFrame((2, 2, 5, 8)),
         FecFrame(True, 3, 0xAABBCCDD00112233, 30, 10, b"\xff" * 40),
     ]
     buf = b"".join(encode_frame(f) for f in frames)
@@ -82,8 +84,8 @@ def test_unknown_frame_type_rejected():
 def test_truncations_rejected():
     for frame in (
         StreamFrame(1, 0, False, b"abc"),
-        AckFrame(3, 0, [(1, 3)]),
-        RecoveredFrame([(1, 3)]),
+        AckFrame(3, 0, (1, 3)),
+        RecoveredFrame((1, 3)),
         HandshakeFrame(2),
     ):
         wire = encode_frame(frame)
@@ -93,9 +95,9 @@ def test_truncations_rejected():
 
 
 def test_inverted_ack_range_rejected():
-    wire = encode_frame(AckFrame(5, 0, [(5, 1)]))
-    with pytest.raises(MalformedFrame):
-        parse_frames(wire)
+    for frame in (AckFrame(5, 0, (1, 2, 5, 1)), RecoveredFrame((5, 1))):
+        with pytest.raises(MalformedFrame, match=r"inverted range \(5, 1\)"):
+            parse_frames(encode_frame(frame))
 
 
 def test_fec_frame_encoding_delegates_to_framework():
@@ -116,11 +118,18 @@ def padded_bytes(max_len: int):
     )
 
 
-RANGES = st.lists(st.tuples(U64, U64).map(lambda r: tuple(sorted(r))), max_size=40)
+# Flat bounds of up to 40 ranges with lo <= hi; order and overlap are the
+# transport's to check, not the parser's.
+BOUNDS = st.lists(st.tuples(U64, U64).map(sorted), max_size=40).map(
+    lambda ranges: tuple(chain.from_iterable(ranges))
+)
+TOP = (1 << 64) - 1
+# 32 ranges, the most an ACK carries, from 0 to 2^64 - 1
+FULL_BOUNDS = (0, 0, *(v for k in range(1, 31) for v in (3 * k, 3 * k + 1)), TOP - 1, TOP)
 ANY_FRAME = st.one_of(
     st.builds(StreamFrame, U32, U64, st.booleans(), padded_bytes(0xFFFF)),
-    st.builds(AckFrame, U64, U32, RANGES),
-    st.builds(RecoveredFrame, RANGES),
+    st.builds(AckFrame, U64, U32, BOUNDS),
+    st.builds(RecoveredFrame, BOUNDS),
     st.builds(HandshakeFrame, U8),
     st.builds(FecFrame, st.booleans(), U8, U64, U8, U8, padded_bytes(MAX_CHUNK_PAYLOAD)),
 )
@@ -131,8 +140,12 @@ ANY_FRAME = st.one_of(
 @example(FecFrame(True, 255, (1 << 64) - 1, 255, 255, b"\xa5" * MAX_CHUNK_PAYLOAD))
 @example(FecFrame(False, 0, 0, 0, 0, b""))
 @example(StreamFrame((1 << 32) - 1, (1 << 64) - 1, True, bytes(0xFFFF)))
-@example(AckFrame((1 << 64) - 1, (1 << 32) - 1, [(0, (1 << 64) - 1)]))
-@example(RecoveredFrame([]))
+@example(AckFrame(TOP, (1 << 32) - 1, (0, TOP)))
+@example(AckFrame(TOP, 0, FULL_BOUNDS))
+@example(AckFrame(0, 0, ()))
+@example(RecoveredFrame((0, TOP)))
+@example(RecoveredFrame(FULL_BOUNDS))
+@example(RecoveredFrame(()))
 @example(HandshakeFrame(255))
 def test_frame_roundtrip_at_field_extremes(frame):
     wire = encode_frame(frame)
@@ -177,9 +190,9 @@ def test_packet_roundtrip_with_many_frames():
     pkt = Packet(
         42,
         [
-            AckFrame(9, 0, [(0, 9)]),
+            AckFrame(9, 0, (0, 9)),
             StreamFrame(1, 100, True, b"d" * 50),
-            RecoveredFrame([(3, 4)]),
+            RecoveredFrame((3, 4)),
         ],
     )
     assert parse_packet(encode_packet(pkt)) == pkt

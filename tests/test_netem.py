@@ -63,6 +63,19 @@ def test_simulator_orders_by_time_then_schedule_order():
     assert sim.idle
 
 
+def test_simulator_keeps_fifo_order_with_and_without_arguments():
+    sim = Simulator()
+    seen = []
+    sim.schedule_at(10, seen.append, "a")
+    sim.schedule_at(10, lambda: seen.append("b"))
+    sim.schedule(10, seen.append, "c")
+    sim.schedule_at(10, lambda: seen.append("d"))
+    sim.schedule_at(5, seen.append, None)  # None is an argument too
+    sim.run()
+    assert seen == [None, "a", "b", "c", "d"]
+    assert sim.events_run == 5
+
+
 def test_simulator_clamps_past_deadlines_to_now():
     sim = Simulator()
     times = []

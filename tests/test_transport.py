@@ -83,6 +83,64 @@ def test_rangeset_empty_largest_raises():
         RangeSet().largest
 
 
+def _model_ranges(values):
+    """A set of ints as sorted, disjoint, non-adjacent inclusive ranges."""
+    out = []
+    for v in sorted(values):
+        if out and out[-1][1] == v - 1:
+            out[-1][1] = v
+        else:
+            out.append([v, v])
+    return [tuple(r) for r in out]
+
+
+def _model_prune(values, max_ranges):
+    """Close the gaps between the oldest ranges, as RangeSet.prune does."""
+    ranges = _model_ranges(values)
+    if len(ranges) > max_ranges:
+        values.update(range(ranges[0][0], ranges[len(ranges) - max_ranges][1] + 1))
+
+
+ADD = st.tuples(st.just("add"), st.integers(0, 160))
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            ADD, ADD, ADD, ADD, ADD, ADD,  # mostly adds, to reach > 32 ranges
+            st.tuples(st.just("prune"), st.integers(1, 80)),
+            st.tuples(st.just("ack"), st.just(0)),
+        ),
+        min_size=50,
+        max_size=300,
+    )
+)
+# 80 single-packet ranges: the ACK prunes to 64 and carries the newest 32
+@example([("add", v) for v in range(0, 160, 2)] + [("ack", 0)])
+def test_rangeset_and_ack_bounds_match_set_model(ops):
+    conn = Connection("client", ConnectionConfig(), request_size=1)
+    rs = conn._received_pns
+    model = set()
+    for op, v in ops:
+        if op == "add":
+            assert rs.add(v) == (v not in model)
+            model.add(v)
+        elif op == "prune":
+            rs.prune(v)
+            _model_prune(model, v)
+        elif model:
+            ack = conn._ack_frame()
+            _model_prune(model, 2 * ACK_RANGE_CAP)
+            newest = _model_ranges(model)[-ACK_RANGE_CAP:]
+            assert ack.bounds == _flat(newest)
+            assert ack.largest_acked == ack.bounds[-1] == max(model)
+        assert rs.bounds == list(_flat(_model_ranges(model)))
+        assert len(rs) == len(_model_ranges(model))
+        for probe in (v - 1, v, v + 1):
+            assert (probe in rs) == (probe in model)
+
+
 def test_rtt_first_sample_replaces_initial():
     rtt = RttEstimator(100_000)
     assert rtt.srtt_us == 100_000
@@ -211,6 +269,44 @@ def test_recv_stream_rejects_data_past_final_size():
     assert rs.cursor == 3 and bytes(rs.data) == b"abc"
 
 
+def test_recv_stream_delivers_segment_overlapped_from_below():
+    rs = RecvStream(keep_data=True)
+    rs.insert(5, b"56789", False)
+    rs.insert(0, b"0123456", False)
+    assert rs.cursor == 10 and bytes(rs.data) == b"0123456789"
+    rs.insert(10, b"", True)
+    assert rs.complete and not rs._segments
+    # an empty frame ahead of the cursor advances nothing: not buffered
+    ahead = RecvStream()
+    ahead.insert(3, b"", False)
+    assert not ahead._segments
+
+
+@st.composite
+def overlapping_slices(draw):
+    """A byte string and slices of it in any order: a partition that covers
+    it, plus overlapping and duplicated extras, some of them empty."""
+    data = draw(st.binary(min_size=1, max_size=64))
+    n = len(data)
+    points = sorted({0, n, *draw(st.lists(st.integers(0, n), max_size=8))})
+    cover = list(zip(points, points[1:]))
+    extra = draw(
+        st.lists(st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted), max_size=8)
+    )
+    return data, draw(st.permutations(cover + [tuple(e) for e in extra]))
+
+
+@settings(deadline=None)
+@given(overlapping_slices())
+def test_recv_stream_delivers_any_order_of_overlapping_slices(case):
+    data, slices = case
+    rs = RecvStream(keep_data=True)
+    for start, end in slices:
+        rs.insert(start, data[start:end], end == len(data))  # FIN on the last byte
+    assert rs.complete and bytes(rs.data) == data
+    assert not rs._segments
+
+
 def test_fec_config_labels():
     assert FecConfig.rs(30, 20).label() == "rs(30,20)"
     assert FecConfig.rlc(3, 2, 20).label() == "rlc(3,2,20)"
@@ -299,11 +395,11 @@ def test_reorder_threshold_needs_three_packets_above():
     s = [p.packet_number for p in stream]
     offs = stream_offsets(stream)
     # hole at s[2]: packets up to 2 above it are acked, not enough
-    deliver(srv, Packet(3, [AckFrame(s[4], 0, [(1, s[1]), (s[3], s[4])])]), 100_000)
+    deliver(srv, Packet(3, [AckFrame(s[4], 0, (1, s[1], s[3], s[4]))]), 100_000)
     assert srv.stats.lost_packets == 0
     # one more packet above: the hole crosses the reorder threshold
     assert s[5] - s[2] == PACKET_REORDER_THRESHOLD
-    deliver(srv, Packet(4, [AckFrame(s[5], 0, [(1, s[1]), (s[3], s[5])])]), 100_200)
+    deliver(srv, Packet(4, [AckFrame(s[5], 0, (1, s[1], s[3], s[5]))]), 100_200)
     assert srv.stats.lost_packets == 1
     assert ("lost", s[2], "reorder_threshold") in srv.traces
     # the lost data is retransmitted
@@ -317,7 +413,7 @@ def test_hole_time_threshold_declares_loss():
     s = [p.packet_number for p in stream]
     # srtt becomes 200ms; the hole at s[2] is 2 packets deep (below the
     # reorder threshold) so only the time threshold can fire
-    deliver(srv, Packet(3, [AckFrame(s[4], 0, [(1, s[1]), (s[3], s[4])])]), 200_000)
+    deliver(srv, Packet(3, [AckFrame(s[4], 0, (1, s[1], s[3], s[4]))]), 200_000)
     assert srv.rtt.srtt_us == 200_000
     assert srv.stats.lost_packets == 0
     hole_deadline = 200_000 + 200_000 // 8
@@ -345,25 +441,40 @@ def test_tail_loss_probe_fires_after_two_srtt():
 def test_ack_of_unsent_packet_is_protocol_violation():
     srv, _ = make_server()
     with pytest.raises(ProtocolViolation):
-        deliver(srv, Packet(3, [AckFrame(9999, 0, [(9999, 9999)])]), 1000)
+        deliver(srv, Packet(3, [AckFrame(9999, 0, (9999, 9999))]), 1000)
 
 
 @pytest.mark.parametrize(
     "shape",
-    ["descending", "overlapping", "shared_endpoint", "reaches_unsent"],
+    [
+        "descending",
+        "overlapping",
+        "shared_endpoint",
+        "reaches_unsent",
+        "largest_above_ranges",
+        "no_ranges",
+    ],
 )
 def test_malformed_ack_ranges_are_protocol_violation(shape):
     srv, stream = make_server()
     s = [p.packet_number for p in stream]
-    ranges = {
-        "descending": [(s[3], s[4]), (s[0], s[1])],
-        "overlapping": [(1, s[2]), (s[1], s[4])],
-        "shared_endpoint": [(1, s[2]), (s[2], s[4])],
+    largest, bounds = {
+        "descending": (s[4], (s[3], s[4], s[0], s[1])),
+        "overlapping": (s[4], (1, s[2], s[1], s[4])),
+        "shared_endpoint": (s[4], (1, s[2], s[2], s[4])),
         # largest_acked is plausible, but the range claims unsent packets
-        "reaches_unsent": [(1, 9999)],
+        "reaches_unsent": (s[4], (1, 9999)),
+        # RFC 9000 section 19.3: the largest acknowledged tops the newest
+        # range; accepted, this would declare s[2] lost and open holes at
+        # s[3] and s[4] although nothing above s[1] was acknowledged
+        "largest_above_ranges": (s[5], (1, s[1])),
+        "no_ranges": (s[4], ()),
     }[shape]
+    flight = srv.bytes_in_flight
     with pytest.raises(ProtocolViolation):
-        deliver(srv, Packet(3, [AckFrame(s[4], 0, ranges)]), 1000)
+        deliver(srv, Packet(3, [AckFrame(largest, 0, bounds)]), 1000)
+    assert srv.bytes_in_flight == flight and srv.stats.lost_packets == 0
+    assert srv.next_timer_us() == 2 * srv.rtt.srtt_us  # no hole opened
 
 
 def _ascending_ranges(draws):
@@ -376,20 +487,28 @@ def _ascending_ranges(draws):
     return ranges
 
 
+def _flat(ranges):
+    return tuple(v for r in ranges for v in r)
+
+
 @settings(deadline=None)
 @given(
-    st.lists(st.integers(0, 300), unique=True).map(sorted),
+    st.lists(st.integers(0, 1000), unique=True).map(sorted),
     st.lists(
         st.tuples(st.integers(0, 40), st.integers(0, 400)), max_size=ACK_RANGE_CAP
-    ).map(_ascending_ranges),
+    ).map(_ascending_ranges).map(_flat),
 )
-@example([5, 6, 9, 200], [(0, 3)])  # entirely below the oldest packet
-@example([5, 6, 9, 200], [(1, 500)])  # one merged range, wider than the flight
-@example([5, 6, 9, 200], [(0, 5), (7, 8), (9, 9), (10, 199)])
-def test_acked_in_flight_matches_brute_force(flight, ranges):
+@example([5, 6, 9, 200], (0, 3))  # entirely below the oldest packet
+@example([5, 6, 9, 200], (1, 500))  # one merged range, wider than the flight
+@example([5, 6, 9, 200], (0, 5, 7, 8, 9, 9, 10, 199))
+# several ranges wholly below the flight, then one wider than it
+@example([50, 51, 60, 200], (0, 3, 5, 10, 20, 49, 51, 60, 61, 300))
+@example([50, 51, 60, 200], (0, 3, 40, 55, 70, 80))  # the oldest inside a range
+def test_acked_in_flight_matches_brute_force(flight, bounds):
     sent = dict.fromkeys(flight)
+    ranges = list(zip(bounds[::2], bounds[1::2]))
     expected = [pn for pn in sent if any(lo <= pn <= hi for lo, hi in ranges)]
-    assert acked_in_flight(sent, ranges) == expected
+    assert acked_in_flight(sent, bounds) == expected
 
 
 def test_merged_ack_range_wider_than_flight_acks_everything():
@@ -401,7 +520,7 @@ def test_merged_ack_range_wider_than_flight_acks_everything():
     in_flight = 1 + sum(p.kind == "stream" for p in out)
     newest = out[-1].packet_number
     assert newest > in_flight  # the range spans the ack-only packets too
-    deliver(srv, Packet(3, [AckFrame(newest, 0, [(1, newest)])]), 250_000)
+    deliver(srv, Packet(3, [AckFrame(newest, 0, (1, newest))]), 250_000)
     assert srv.bytes_in_flight == 0
     assert srv.stats.lost_packets == 0
     # the sample comes from the newest packet (sent at 50 ms), not the
@@ -436,19 +555,16 @@ ack_ranges = st.lists(
 @settings(deadline=None)
 @given(
     st.lists(
-        st.tuples(st.integers(1, 60_000), ack_ranges, st.integers(0, 3)),
-        min_size=1,
-        max_size=12,
+        st.tuples(st.integers(1, 60_000), ack_ranges), min_size=1, max_size=12
     )
 )
-@example([(1000, [(1, 10)], 2), (1000, [(1, 10)], 3)])  # holes at two times
+# a hole opened by the first ACK expires before the second arrives
+@example([(1000, [(1, 8), (10, 10)]), (60_000, [(1, 8), (10, 12)])])
 def test_hole_timer_and_losses_match_brute_force(acks):
-    """Random ACKs at increasing times, with the hole timer fired when it
-    is due first.  The model gives each outstanding packet the time of the
-    first ACK whose largest acked is above it as its hole time.  When every
-    ACK covers its own largest acked, all holes open at one time; a
-    largest acked above the ranges, which the transport accepts, opens
-    holes at several."""
+    """Random well-formed ACKs (the largest acked tops the newest range)
+    at increasing times, with the hole timer fired when it is due first.
+    The model gives each outstanding packet the time of the first ACK
+    whose largest acked is above it as its hole time."""
     traces = []
     srv = server_with_flight(traces)
     outstanding = set(range(1, FLIGHT + 1))
@@ -483,15 +599,15 @@ def test_hole_timer_and_losses_match_brute_force(acks):
         armed = [d for d in deadlines() if d is not None]
         assert srv.next_timer_us() == (min(armed) if armed else None)
 
-    for i, (gap, ranges, above) in enumerate(acks):
+    for i, (gap, ranges) in enumerate(acks):
         probe, hole = deadlines()
         if hole is not None and hole < now + gap and (probe is None or hole < probe):
             srv.on_timer(hole)
             expire(hole)
             check()
         now += gap
-        largest = min(FLIGHT, ranges[-1][1] + above)
-        deliver(srv, Packet(i + 1, [AckFrame(largest, 0, ranges)]), now)
+        largest = ranges[-1][1]
+        deliver(srv, Packet(i + 1, [AckFrame(largest, 0, _flat(ranges))]), now)
         newly = sorted(pn for pn in outstanding if any(lo <= pn <= hi for lo, hi in ranges))
         if newly:
             if newly[-1] == largest:
@@ -510,7 +626,7 @@ def test_hole_timer_and_losses_match_brute_force(acks):
 def test_recovered_for_unsent_packet_is_protocol_violation():
     srv, _ = make_server()
     with pytest.raises(ProtocolViolation):
-        deliver(srv, Packet(3, [RecoveredFrame([(9999, 9999)])]), 1000)
+        deliver(srv, Packet(3, [RecoveredFrame((9999, 9999))]), 1000)
 
 
 def test_recovered_packet_reduces_cwnd_and_skips_retransmission():
@@ -519,13 +635,13 @@ def test_recovered_packet_reduces_cwnd_and_skips_retransmission():
     offs = stream_offsets(stream)
     cwnd_before = srv.cwnd
     flight_before = srv.bytes_in_flight
-    deliver(srv, Packet(3, [RecoveredFrame([(s[0], s[0])])]), 50_000)
+    deliver(srv, Packet(3, [RecoveredFrame((s[0], s[0]))]), 50_000)
     assert srv.stats.peer_recovered_packets == 1
     assert srv.stats.cwnd_reductions == 1
     assert srv.cwnd == cwnd_before / 2
     assert srv.bytes_in_flight == flight_before - stream[0].size
     # acks that would normally expose the hole do not relitigate the loss
-    deliver(srv, Packet(4, [AckFrame(s[5], 0, [(1, s[5])])]), 100_000)
+    deliver(srv, Packet(4, [AckFrame(s[5], 0, (1, s[5]))]), 100_000)
     assert srv.stats.lost_packets == 0
     # and the recovered data is never sent again
     assert offs[s[0]] not in flushed_stream_offsets(srv, 100_100)
@@ -535,8 +651,8 @@ def test_recovered_packet_reduces_cwnd_and_skips_retransmission():
 def test_recovered_for_acked_packet_is_ignored():
     srv, stream = make_server()
     s = [p.packet_number for p in stream]
-    deliver(srv, Packet(3, [AckFrame(s[1], 0, [(1, s[1])])]), 50_000)
-    deliver(srv, Packet(4, [RecoveredFrame([(s[0], s[0])])]), 51_000)
+    deliver(srv, Packet(3, [AckFrame(s[1], 0, (1, s[1]))]), 50_000)
+    deliver(srv, Packet(4, [RecoveredFrame((s[0], s[0]))]), 51_000)
     assert srv.stats.peer_recovered_packets == 0
     assert srv.stats.cwnd_reductions == 0
 
@@ -544,8 +660,8 @@ def test_recovered_for_acked_packet_is_ignored():
 def test_duplicate_recovered_reports_single_signal():
     srv, stream = make_server()
     s = [p.packet_number for p in stream]
-    deliver(srv, Packet(3, [RecoveredFrame([(s[1], s[1])])]), 50_000)
-    deliver(srv, Packet(4, [RecoveredFrame([(s[1], s[1])])]), 52_000)
+    deliver(srv, Packet(3, [RecoveredFrame((s[1], s[1]))]), 50_000)
+    deliver(srv, Packet(4, [RecoveredFrame((s[1], s[1]))]), 52_000)
     assert srv.stats.peer_recovered_packets == 1
     assert srv.stats.cwnd_reductions == 1
 
@@ -553,7 +669,7 @@ def test_duplicate_recovered_reports_single_signal():
 def test_recovered_range_collapses_to_one_reduction_per_round():
     srv, stream = make_server()
     s = [p.packet_number for p in stream]
-    deliver(srv, Packet(3, [RecoveredFrame([(s[2], s[4])])]), 50_000)
+    deliver(srv, Packet(3, [RecoveredFrame((s[2], s[4]))]), 50_000)
     assert srv.stats.peer_recovered_packets == 3
     assert srv.stats.cwnd_reductions == 1  # same flight, one round
 
@@ -563,10 +679,10 @@ def test_late_recovered_purges_queued_retransmission():
     s = [p.packet_number for p in stream]
     offs = stream_offsets(stream)
     # the hole at s[2] crosses the reorder threshold: queued for resend
-    deliver(srv, Packet(3, [AckFrame(s[5], 0, [(1, s[1]), (s[3], s[5])])]), 100_000)
+    deliver(srv, Packet(3, [AckFrame(s[5], 0, (1, s[1], s[3], s[5]))]), 100_000)
     assert srv.stats.lost_packets == 1
     # before the sender flushes, the peer reports it repaired the packet
-    deliver(srv, Packet(4, [RecoveredFrame([(s[2], s[2])])]), 100_050)
+    deliver(srv, Packet(4, [RecoveredFrame((s[2], s[2]))]), 100_050)
     sent = flushed_stream_offsets(srv, 100_100)
     assert offs[s[2]] not in sent
     assert srv.stats.retransmitted_packets == 0
@@ -611,7 +727,7 @@ def test_flight_never_exceeds_cwnd_at_send_time():
     s = [p.packet_number for p in stream]
     now = 100_000
     for round_ in range(20):
-        deliver(srv, Packet(3 + round_, [AckFrame(s[-1], 0, [(1, s[-1])])]), now)
+        deliver(srv, Packet(3 + round_, [AckFrame(s[-1], 0, (1, s[-1]))]), now)
         out = srv.flush(now)
         assert srv.bytes_in_flight <= srv.cwnd
         s = [p.packet_number for p in out if p.kind == "stream"]
@@ -728,8 +844,8 @@ def test_recovered_reports_repeat_until_a_carrier_is_acked():
     probe = cli.flush(probe_at)[0]
     assert probe.kind == "probe" and probe.packet_number > carriers[-1]
     ack_at = probe_at + 100_000
-    ranges = [(1, carriers[0] - 1), (probe.packet_number, probe.packet_number)]
-    deliver(cli, Packet(2000, [AckFrame(probe.packet_number, 0, ranges)]), ack_at)
+    bounds = (1, carriers[0] - 1, probe.packet_number, probe.packet_number)
+    deliver(cli, Packet(2000, [AckFrame(probe.packet_number, 0, bounds)]), ack_at)
     hole_at = cli.next_timer_us()
     assert hole_at == ack_at + 100_000 // HOLE_TIME_FRACTION
     cli.on_timer(hole_at)
@@ -742,8 +858,8 @@ def test_recovered_reports_repeat_until_a_carrier_is_acked():
     assert recovered_reports(third) == [[x]]
     # an acked carrier does
     carrier = third[0].packet_number
-    ranges = [(1, carriers[0] - 1), (probe.packet_number, carrier)]
-    deliver(cli, Packet(2001, [AckFrame(carrier, 0, ranges)]), hole_at + 2)
+    bounds = (1, carriers[0] - 1, probe.packet_number, carrier)
+    deliver(cli, Packet(2001, [AckFrame(carrier, 0, bounds)]), hole_at + 2)
     deliver(cli, Packet(1002, [HandshakeFrame(1)]), hole_at + 3)
     fourth = cli.flush(hole_at + 3)
     assert [p.kind for p in fourth] == ["feedback"]
