@@ -78,7 +78,7 @@ FLIGHT = 300
 RANGES = 32
 EVENTS = 1000
 FRESH_REPEATS = 1000
-SYMBOL = schemes.DEFAULT_SYMBOL_SIZE
+SYMBOL = schemes.symbol_size_for(MAX_PACKET_SIZE)
 RS = schemes.BlockCodeParams(30, 20)
 RS_ERASED = 10
 WINDOW = 20
@@ -151,7 +151,7 @@ def ack_build_micro() -> dict:
     return {"transport.ack_frame_64_ranges": bench_call(conn._ack_frame)}
 
 
-def _noop() -> None:
+def _noop(_) -> None:
     pass
 
 
@@ -159,7 +159,7 @@ def netem_micro() -> dict:
     def loaded() -> Simulator:
         sim = Simulator()
         for t in range(EVENTS):
-            sim.schedule_at(t, _noop)
+            sim.schedule_at(t, _noop, None)
         return sim
 
     sim = loaded()

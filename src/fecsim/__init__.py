@@ -21,7 +21,6 @@ from .schemes import (
     SCHEME_RLC,
     BlockCodeParams,
     ConvolutionalParams,
-    DEFAULT_SYMBOL_SIZE,
 )
 from .transport import (
     Connection,
@@ -60,7 +59,6 @@ __all__ = [
     "SCHEME_RLC",
     "BlockCodeParams",
     "ConvolutionalParams",
-    "DEFAULT_SYMBOL_SIZE",
     "Connection",
     "ConnectionConfig",
     "FecConfig",

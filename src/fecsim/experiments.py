@@ -716,7 +716,7 @@ def fairness_run(background: str, seed: int) -> FairnessRun:
 
     bg_host.start()
     fg_start = FAIRNESS_FG_DELAY_US + derive_seed(seed, 17) % (FAIRNESS_JITTER_US + 1)
-    sim.schedule_at(fg_start, fg_host.start)
+    sim.schedule_at(fg_start, Host.start, fg_host)
     sim.run(stop_when=lambda: fg_client.complete_at_us is not None)
     if fg_client.complete_at_us is None:
         raise SimulationRunaway(

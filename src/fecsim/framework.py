@@ -427,7 +427,9 @@ class ReceiverFec:
         return self._attempt_block(block_no)
 
     def on_fec_frame(self, frame: FecFrame) -> list[tuple[int, bytes]]:
-        """Feed one repair frame chunk; returns newly recovered packets."""
+        """Feed one repair frame chunk; returns newly recovered packets.
+        Raises :class:`MalformedFrame` for a repair symbol not ``symbol_size``
+        bytes long, over no source, or outside its announced block code."""
         part = self._reassembly.get(frame.repair_id)
         if part is None:
             part = _PartialRepair(nss=frame.nss, nrs=frame.nrs)
@@ -443,6 +445,12 @@ class ReceiverFec:
             return []
         payload = b"".join(part.chunks[i] for i in range(part.fin_offset + 1))
         del self._reassembly[frame.repair_id]
+        if len(payload) != self.symbol_size:
+            raise MalformedFrame(
+                f"{len(payload)}-byte repair symbol, expected {self.symbol_size}"
+            )
+        if frame.nss == 0:
+            raise MalformedFrame("repair symbol over zero source symbols")
         symbol = np.frombuffer(payload, dtype=np.uint8)
         hi, lo = split_repair_id(frame.repair_id)
         if self.scheme == SCHEME_RLC:
@@ -450,6 +458,10 @@ class ReceiverFec:
                 self._rlc.add_repair(hi, frame.nss, lo, symbol)
             )
         block_no, index = split_block_source_id(hi)
+        if index >= frame.nrs or frame.nss + frame.nrs > 256:
+            raise MalformedFrame(
+                f"repair {index} of a block of {frame.nss} sources and {frame.nrs} repairs"
+            )
         state = self._block(block_no)
         if state is None:
             return []

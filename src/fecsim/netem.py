@@ -9,6 +9,11 @@ bytes count towards the link's wire-byte total.
 Both directions of a path share a single loss model instance; its draws
 are consumed in global event order, which keeps runs bit-reproducible
 for a given seed no matter which side transmits first.
+
+A packet is one :class:`Datagram` (the transport's ``OutPacket``) from
+``Connection.flush`` to the peer: :meth:`Host.pump` sets its ``src`` and
+``dst`` hosts and :meth:`Link._arrive` calls ``dgram.dst.on_datagram``.
+Every event runs ``fn(arg)``.
 """
 
 from __future__ import annotations
@@ -21,12 +26,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .rng import SplitMix64
-from .transport import Connection
+from .transport import Connection, OutPacket as Datagram
 
 DEFAULT_QUEUE_PACKETS = 50
 DEFAULT_MAX_EVENTS = 10_000_000
-
-_NO_ARG = object()  # an event scheduled without an argument
 
 
 class SimulationRunaway(RuntimeError):
@@ -44,10 +47,8 @@ def serialization_us(nbytes: int, bandwidth_bps: int) -> int:
 class Simulator:
     """Min-heap event loop; ties break in scheduling order.
 
-    An event is ``(time, seq, fn, arg)`` and runs ``fn(arg)``, or ``fn()``
-    when it was scheduled without an argument, so links and hosts schedule
-    bound methods with their datagram or timer generation instead of
-    building a closure per event.
+    An event is ``(time, seq, fn, arg)`` and runs ``fn(arg)``; links and
+    hosts pass their datagram, timer generation or host, not a closure.
     """
 
     def __init__(self, max_events: int = DEFAULT_MAX_EVENTS):
@@ -57,14 +58,11 @@ class Simulator:
         self._heap: list = []
         self._seq = 0
 
-    def schedule_at(self, time_us: int, fn: Callable, arg=_NO_ARG) -> None:
+    def schedule_at(self, time_us: int, fn: Callable, arg) -> None:
         if time_us < self.now_us:
             time_us = self.now_us
         heappush(self._heap, (time_us, self._seq, fn, arg))
         self._seq += 1
-
-    def schedule(self, delay_us: int, fn: Callable, arg=_NO_ARG) -> None:
-        self.schedule_at(self.now_us + delay_us, fn, arg)
 
     @property
     def idle(self) -> bool:
@@ -90,10 +88,7 @@ class Simulator:
             if self.events_run > limit:
                 raise SimulationRunaway(f"exceeded {limit} events at t={time_us}us")
             self.now_us = time_us
-            if arg is _NO_ARG:
-                fn()
-            else:
-                fn(arg)
+            fn(arg)
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +206,6 @@ class PredicateLoss:
 # ---------------------------------------------------------------------------
 # Links and hosts
 
-@dataclass(slots=True)
-class Datagram:
-    data: bytes
-    src: str
-    dst: str
-    packet_number: int
-    kind: str
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
-
-
 @dataclass
 class LinkStats:
     wire_bytes: int = 0
@@ -234,14 +216,14 @@ class LinkStats:
 
 
 class Link:
-    """One direction: drop-tail queue -> serialiser -> delay -> deliver."""
+    """One direction: drop-tail queue -> serialiser -> delay -> the
+    datagram's ``dst`` host."""
 
     def __init__(
         self,
         sim: Simulator,
         bandwidth_bps: int,
         delay_us: int,
-        deliver: Callable[[Datagram], None],
         loss=None,
         queue_packets: int = DEFAULT_QUEUE_PACKETS,
         trace: Optional[Callable[[str, Datagram], None]] = None,
@@ -252,7 +234,6 @@ class Link:
         self.loss = loss
         self.queue_packets = queue_packets
         self.stats = LinkStats()
-        self._deliver_fn = deliver
         self._trace = trace
         self._queue: deque[Datagram] = deque()
         self._busy = False
@@ -297,19 +278,20 @@ class Link:
 
     def _arrive(self, dgram: Datagram) -> None:
         self.stats.delivered_packets += 1
-        self._deliver_fn(dgram)
+        dgram.dst.on_datagram(dgram)
 
 
 class Host:
-    """Binds one connection to the event loop: pumps outbound packets and
-    re-arms the connection's single timer after every state change."""
+    """Binds one connection to the event loop: pumps outbound packets, each
+    stamped with this host's name and the peer host, and re-arms the
+    connection's single timer after every state change."""
 
     def __init__(self, sim: Simulator, conn: Connection, name: str):
         self.sim = sim
         self.conn = conn
         self.name = name
-        # (outbound link, peer host name), set by Network.attach_pair
-        self.route: Optional[tuple[Link, str]] = None
+        # (outbound link, peer host), set by Network.attach_pair
+        self.route: Optional[tuple[Link, Host]] = None
         self._timer_gen = 0
 
     def start(self) -> None:
@@ -322,9 +304,10 @@ class Host:
 
     def pump(self) -> None:
         link, peer = self.route
-        name = self.name
-        for out in self.conn.flush(self.sim.now_us):
-            link.send(Datagram(out.data, name, peer, out.packet_number, out.kind))
+        for dgram in self.conn.flush(self.sim.now_us):
+            dgram.src = self.name
+            dgram.dst = peer
+            link.send(dgram)
         self._arm_timer()
 
     def _arm_timer(self) -> None:
@@ -356,14 +339,11 @@ class Network:
         loss=None,
         trace: Optional[Callable[[str, Datagram], None]] = None,
     ):
-        self.sim = sim
-        self._hosts: dict[str, Host] = {}
         self.links = {
             side: Link(
                 sim,
                 bandwidth_bps,
                 one_way_delay_us,
-                self._on_arrival,
                 loss=loss,
                 queue_packets=queue_packets,
                 trace=trace,
@@ -376,13 +356,7 @@ class Network:
             (client_host, server_host, "fwd"),
             (server_host, client_host, "rev"),
         ):
-            if host.name in self._hosts:
-                raise ValueError(f"duplicate host name {host.name!r}")
-            self._hosts[host.name] = host
-            host.route = (self.links[side], peer.name)
-
-    def _on_arrival(self, dgram: Datagram) -> None:
-        self._hosts[dgram.dst].on_datagram(dgram)
+            host.route = (self.links[side], peer)
 
     @property
     def wire_bytes(self) -> int:
@@ -421,7 +395,7 @@ class TraceLog:
                 "net",
                 event,
                 dgram.packet_number,
-                f"{dgram.src}->{dgram.dst} {dgram.kind} {dgram.size}B",
+                f"{dgram.src}->{dgram.dst.name} {dgram.kind} {len(dgram.data)}B",
             )
 
         return tracer

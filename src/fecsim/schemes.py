@@ -23,9 +23,7 @@ SCHEME_XOR = 0x01
 SCHEME_REED_SOLOMON = 0x02
 SCHEME_RLC = 0x03
 
-#: Symbol width that fits a 1200-byte packet: 2-byte length prefix,
-#: payload, 6 spare bytes, rounded to a multiple of 8.
-DEFAULT_SYMBOL_SIZE = 1208
+RLC_EVICT_WINDOWS = 4  # coding windows of state an RlcDecoder keeps
 
 
 class FecSchemeError(Exception):
@@ -49,12 +47,15 @@ class InvalidParams(FecSchemeError, ValueError):
 
 
 def symbol_size_for(max_packet: int) -> int:
-    """Symbol width for packets up to ``max_packet`` bytes."""
+    """Symbol width for packets up to ``max_packet`` bytes: 2-byte length
+    prefix, payload, 6 spare bytes, rounded to a multiple of 8."""
     return (2 + max_packet + 6 + 7) // 8 * 8
 
 
-def frame_symbol(data: bytes, symbol_size: int = DEFAULT_SYMBOL_SIZE) -> np.ndarray:
-    """Wrap packet bytes into a fixed-width symbol (length prefix + padding)."""
+def frame_symbol(data: bytes, symbol_size: int = 1208) -> np.ndarray:
+    """Wrap packet bytes into a fixed-width symbol (length prefix + padding).
+    The framework passes its own width; the default, for callers outside it,
+    is a full packet's, ``symbol_size_for(frames.MAX_PACKET_SIZE)``."""
     if len(data) > symbol_size - 2:
         raise InvalidParams(
             f"{len(data)} bytes do not fit a {symbol_size}-byte symbol"
@@ -262,15 +263,14 @@ class RlcDecoder:
     Feed received source symbols and repair equations in any order; the
     decoder substitutes known symbols into pending equations and solves
     whenever a connected group of losses is covered by enough equations.
-    State older than ``evict_windows`` coding windows behind the newest
-    sequence offset is discarded.
+    State older than :data:`RLC_EVICT_WINDOWS` coding windows behind the
+    newest sequence offset is discarded.
     """
 
-    def __init__(self, window: int, evict_windows: int = 4):
+    def __init__(self, window: int):
         if window < 1:
             raise InvalidParams(f"window must be >= 1, got {window}")
         self.window = window
-        self.evict_windows = evict_windows
         self._symbols: dict[int, np.ndarray] = {}
         self._equations: list[_Equation] = []
         self._newest = -1
@@ -381,7 +381,7 @@ class RlcDecoder:
     def _advance(self, seq: int) -> None:
         if seq > self._newest:
             self._newest = seq
-        horizon = self._newest - self.evict_windows * self.window
+        horizon = self._newest - RLC_EVICT_WINDOWS * self.window
         if horizon > self._horizon:
             self._horizon = horizon
         self._equations = [

@@ -6,7 +6,8 @@ exchange: the client performs a one-round-trip handshake, sends a GET
 for some number of bytes, and the server streams a deterministic byte
 pattern back.  The connection is a pure state machine driven by the
 emulator: it consumes datagrams and timer expirations, and produces
-datagrams via :meth:`flush`.  All times are integer microseconds.
+datagrams via :meth:`flush`, each one :class:`OutPacket` that the emulator
+carries to the peer as it is.  All times are integer microseconds.
 
 Reliability comes from three sender mechanisms (packet-threshold loss
 detection, a hole timer at srtt/8, and a tail loss probe at 2*srtt) plus
@@ -380,15 +381,15 @@ class Stats:
 
 @dataclass(slots=True)
 class OutPacket:
-    """A wire-ready packet plus metadata for the emulator and tests."""
+    """A wire-ready packet: one object from :meth:`Connection.flush` to the
+    peer (``netem.Datagram``).  ``netem.Host.pump`` sets ``src``, its name,
+    and ``dst``, the receiving host."""
 
     data: bytes
     packet_number: int
     kind: str  # hs | feedback | repair | stream | probe
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
+    src: str = ""
+    dst: object = None
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,20 @@ from fecsim.netem import (
 from fecsim.rng import SplitMix64
 
 
-def dgram(size, pn=1, kind="stream", src="a", dst="b"):
-    return Datagram(bytes(size), src, dst, pn, kind)
+class Sink:
+    """Stands in for the receiving host: records (arrival time, datagram)."""
+
+    def __init__(self, sim, name="b"):
+        self.sim = sim
+        self.name = name
+        self.arrivals = []
+
+    def on_datagram(self, dgram):
+        self.arrivals.append((self.sim.now_us, dgram))
+
+
+def dgram(size, pn=1, kind="stream", src="a", dst=None):
+    return Datagram(bytes(size), pn, kind, src, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -54,22 +66,20 @@ def test_serialization_rounds_to_nearest():
 def test_simulator_orders_by_time_then_schedule_order():
     sim = Simulator()
     seen = []
-    sim.schedule_at(50, lambda: seen.append("b"))
-    sim.schedule_at(10, lambda: seen.append("a"))
-    sim.schedule_at(50, lambda: seen.append("c"))  # same time: FIFO
+    sim.schedule_at(50, seen.append, "b")
+    sim.schedule_at(10, seen.append, "a")
+    sim.schedule_at(50, seen.append, "c")  # same time: FIFO
     sim.run()
     assert seen == ["a", "b", "c"]
     assert sim.now_us == 50
     assert sim.idle
 
 
-def test_simulator_keeps_fifo_order_with_and_without_arguments():
+def test_simulator_keeps_fifo_order_of_same_time_events():
     sim = Simulator()
     seen = []
-    sim.schedule_at(10, seen.append, "a")
-    sim.schedule_at(10, lambda: seen.append("b"))
-    sim.schedule(10, seen.append, "c")
-    sim.schedule_at(10, lambda: seen.append("d"))
+    for arg in "abcd":
+        sim.schedule_at(10, seen.append, arg)
     sim.schedule_at(5, seen.append, None)  # None is an argument too
     sim.run()
     assert seen == [None, "a", "b", "c", "d"]
@@ -79,7 +89,9 @@ def test_simulator_keeps_fifo_order_with_and_without_arguments():
 def test_simulator_clamps_past_deadlines_to_now():
     sim = Simulator()
     times = []
-    sim.schedule_at(100, lambda: sim.schedule_at(30, lambda: times.append(sim.now_us)))
+    sim.schedule_at(
+        100, lambda _: sim.schedule_at(30, lambda _: times.append(sim.now_us), None), None
+    )
     sim.run()
     assert times == [100]  # never travels back in time
 
@@ -88,13 +100,13 @@ def test_simulator_until_and_stop_when():
     sim = Simulator()
     seen = []
     for t in (10, 20, 30):
-        sim.schedule_at(t, lambda t=t: seen.append(t))
+        sim.schedule_at(t, seen.append, t)
     sim.run(until_us=20)
     assert seen == [10, 20] and sim.now_us == 20
     sim2 = Simulator()
     seen2 = []
     for t in (10, 20, 30):
-        sim2.schedule_at(t, lambda t=t: seen2.append(t))
+        sim2.schedule_at(t, seen2.append, t)
     sim2.run(stop_when=lambda: len(seen2) >= 2)
     assert seen2 == [10, 20]  # the 30us event stays queued
     assert not sim2.idle
@@ -103,10 +115,10 @@ def test_simulator_until_and_stop_when():
 def test_simulator_event_budget():
     sim = Simulator(max_events=10)
 
-    def again():
-        sim.schedule(1, again)
+    def again(_):
+        sim.schedule_at(sim.now_us + 1, again, None)
 
-    sim.schedule(1, again)
+    again(None)
     with pytest.raises(SimulationRunaway):
         sim.run()
 
@@ -221,51 +233,47 @@ def test_scripted_and_predicate_loss():
 # Links
 
 def collecting_link(sim, bandwidth=1_000_000, delay=5_000, **kwargs):
-    arrivals = []
-    link = Link(
-        sim, bandwidth, delay, lambda d: arrivals.append((sim.now_us, d)), **kwargs
-    )
-    return link, arrivals
+    return Link(sim, bandwidth, delay, **kwargs), Sink(sim)
 
 
 def test_link_serialization_then_delay():
     sim = Simulator()
-    link, arrivals = collecting_link(sim)  # 1 Mbps, 5ms
-    link.send(dgram(125, pn=1))  # 1000us on the wire
-    link.send(dgram(250, pn=2))  # queued behind it, 2000us
+    link, sink = collecting_link(sim)  # 1 Mbps, 5ms
+    link.send(dgram(125, pn=1, dst=sink))  # 1000us on the wire
+    link.send(dgram(250, pn=2, dst=sink))  # queued behind it, 2000us
     sim.run()
-    assert [(t, d.packet_number) for t, d in arrivals] == [(6_000, 1), (8_000, 2)]
+    assert [(t, d.packet_number) for t, d in sink.arrivals] == [(6_000, 1), (8_000, 2)]
     assert link.stats.wire_bytes == 375
     assert link.stats.wire_packets == 2
 
 
 def test_link_preserves_fifo_order():
     sim = Simulator()
-    link, arrivals = collecting_link(sim)
+    link, sink = collecting_link(sim)
     for pn in range(1, 31):
-        link.send(dgram(100, pn=pn))
+        link.send(dgram(100, pn=pn, dst=sink))
     sim.run()
-    assert [d.packet_number for _, d in arrivals] == list(range(1, 31))
+    assert [d.packet_number for _, d in sink.arrivals] == list(range(1, 31))
 
 
 def test_link_drop_tail_queue():
     sim = Simulator()
-    link, arrivals = collecting_link(sim, queue_packets=2)
+    link, sink = collecting_link(sim, queue_packets=2)
     for pn in range(1, 6):
-        link.send(dgram(100, pn=pn))  # 1 serialising + 2 queued + 2 dropped
+        link.send(dgram(100, pn=pn, dst=sink))  # 1 serialising + 2 queued + 2 dropped
     sim.run()
-    assert [d.packet_number for _, d in arrivals] == [1, 2, 3]
+    assert [d.packet_number for _, d in sink.arrivals] == [1, 2, 3]
     assert link.stats.queue_drops == 2
     assert link.stats.delivered_packets == 3
 
 
 def test_link_random_loss_occupies_wire():
     sim = Simulator()
-    link, arrivals = collecting_link(sim, loss=ScriptedLoss([True, False, True]))
+    link, sink = collecting_link(sim, loss=ScriptedLoss([True, False, True]))
     for pn in (1, 2, 3):
-        link.send(dgram(100, pn=pn))
+        link.send(dgram(100, pn=pn, dst=sink))
     sim.run()
-    assert [d.packet_number for _, d in arrivals] == [1, 3]
+    assert [d.packet_number for _, d in sink.arrivals] == [1, 3]
     assert link.stats.random_drops == 1
     assert link.stats.wire_packets == 3  # the dropped packet still burned time
     assert link.stats.wire_bytes == 300
@@ -274,14 +282,14 @@ def test_link_random_loss_occupies_wire():
 def test_link_conservation():
     sim = Simulator()
     offered = 200
-    link, arrivals = collecting_link(
+    link, sink = collecting_link(
         sim, loss=UniformLoss(0.3, seed=11), queue_packets=3
     )
     for pn in range(offered):
-        link.send(dgram(400, pn=pn))
+        link.send(dgram(400, pn=pn, dst=sink))
     sim.run()
     st = link.stats
-    assert st.delivered_packets == len(arrivals)
+    assert st.delivered_packets == len(sink.arrivals)
     assert st.delivered_packets + st.random_drops == st.wire_packets
     assert st.wire_packets + st.queue_drops == offered
 
@@ -291,13 +299,13 @@ def test_shared_loss_model_consumes_draws_in_event_order():
     # serialising consumes the first scripted decision
     sim = Simulator()
     loss = ScriptedLoss([False, True])
-    fast, fast_arr = collecting_link(sim, bandwidth=8_000_000, loss=loss)
-    slow, slow_arr = collecting_link(sim, bandwidth=1_000_000, loss=loss)
-    slow.send(dgram(100, pn=1))  # finishes at 800us
-    fast.send(dgram(100, pn=2))  # finishes at 100us: eats the drop
+    fast, fast_sink = collecting_link(sim, bandwidth=8_000_000, loss=loss)
+    slow, slow_sink = collecting_link(sim, bandwidth=1_000_000, loss=loss)
+    slow.send(dgram(100, pn=1, dst=slow_sink))  # finishes at 800us
+    fast.send(dgram(100, pn=2, dst=fast_sink))  # finishes at 100us: eats the drop
     sim.run()
-    assert fast_arr == []
-    assert [d.packet_number for _, d in slow_arr] == [1]
+    assert fast_sink.arrivals == []
+    assert [d.packet_number for _, d in slow_sink.arrivals] == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +314,8 @@ def test_shared_loss_model_consumes_draws_in_event_order():
 def test_trace_log_line_format():
     sim = Simulator()
     log = TraceLog(sim)
-    sim.schedule_at(1234, lambda: log.emit("client", "send", 7, "stream"))
-    sim.schedule_at(2000, lambda: log.emit("client", "connect", None, ""))
+    sim.schedule_at(1234, lambda _: log.emit("client", "send", 7, "stream"), None)
+    sim.schedule_at(2000, lambda _: log.emit("client", "connect", None, ""), None)
     sim.run()
     assert log.lines == ["1.234 client.send 7 stream", "2.000 client.connect -"]
     assert log.text() == "1.234 client.send 7 stream\n2.000 client.connect -\n"
@@ -316,14 +324,7 @@ def test_trace_log_line_format():
 def test_trace_log_link_tracer():
     sim = Simulator()
     log = TraceLog(sim)
-    link = Link(
-        sim,
-        1_000_000,
-        0,
-        lambda d: None,
-        loss=ScriptedLoss([False]),
-        trace=log.link_tracer(),
-    )
-    link.send(dgram(100, pn=9, src="c1", dst="s1"))
+    link = Link(sim, 1_000_000, 0, loss=ScriptedLoss([False]), trace=log.link_tracer())
+    link.send(dgram(100, pn=9, src="c1", dst=Sink(sim, "s1")))
     sim.run()
     assert log.lines == ["0.800 net.drop_random 9 c1->s1 stream 100B"]

@@ -6,10 +6,10 @@ import random
 import numpy as np
 import pytest
 
+from fecsim.frames import MAX_PACKET_SIZE
 from fecsim.gf256 import gf_mul
 from fecsim.rng import xorshift32
 from fecsim.schemes import (
-    DEFAULT_SYMBOL_SIZE,
     BlockCodeParams,
     ConvolutionalParams,
     EmptyBlock,
@@ -51,11 +51,12 @@ def test_symbol_framing_roundtrip():
 
 
 def test_default_symbol_size_fits_full_packet():
-    assert DEFAULT_SYMBOL_SIZE == 1208
-    assert DEFAULT_SYMBOL_SIZE % 8 == 0
-    sym = frame_symbol(bytes(1200), DEFAULT_SYMBOL_SIZE)
-    assert unframe_symbol(sym) == bytes(1200)
-    assert symbol_size_for(1200) == 1208
+    size = symbol_size_for(MAX_PACKET_SIZE)
+    assert size == 1208
+    assert size % 8 == 0
+    sym = frame_symbol(bytes(MAX_PACKET_SIZE), size)
+    assert unframe_symbol(sym) == bytes(MAX_PACKET_SIZE)
+    assert frame_symbol(b"").shape == (size,)  # the default width is a full packet's
 
 
 def test_frame_symbol_rejects_oversized_data():
@@ -293,7 +294,7 @@ def test_rlc_decoder_ignores_duplicates_and_known_sources():
 def test_rlc_decoder_evicts_stale_state():
     rnd = random.Random(14)
     width = 64
-    dec = RlcDecoder(window=4, evict_windows=4)
+    dec = RlcDecoder(window=4)
     lost = frame_symbol(b"lost", width)
     dec_symbols = [lost] + random_symbols(rnd, 40)
     # symbol 0 lost; never provide it, stream far past the horizon

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fecsim.framework import FecFrame, MalformedFrame, block_repair_id, conv_repair_id
 from fecsim.frames import (
     AckFrame,
     HandshakeFrame,
@@ -639,7 +640,7 @@ def test_recovered_packet_reduces_cwnd_and_skips_retransmission():
     assert srv.stats.peer_recovered_packets == 1
     assert srv.stats.cwnd_reductions == 1
     assert srv.cwnd == cwnd_before / 2
-    assert srv.bytes_in_flight == flight_before - stream[0].size
+    assert srv.bytes_in_flight == flight_before - len(stream[0].data)
     # acks that would normally expose the hole do not relitigate the loss
     deliver(srv, Packet(4, [AckFrame(s[5], 0, (1, s[5]))]), 100_000)
     assert srv.stats.lost_packets == 0
@@ -885,3 +886,29 @@ def test_client_completes_once():
     assert [tr for tr in traces if tr[0] == "response_complete"] == [
         ("response_complete", None, "bytes=4")
     ]
+
+
+MALFORMED_REPAIRS = {
+    # name: (code, repair id, nss, nrs, payload bytes)
+    "rs_index_above_nrs": (FecConfig.rs(3, 2), block_repair_id(0, 5, 5), 2, 1, 1208),
+    "xor_short_payload": (FecConfig.xor(2), block_repair_id(0, 0, 0), 2, 1, 10),
+    "rs_short_payload": (FecConfig.rs(3, 2), block_repair_id(0, 0, 0), 2, 1, 10),
+    "rlc_short_payload": (FecConfig.rlc(3, 2, 4), conv_repair_id(0, 7), 2, 1, 10),
+    "rs_more_than_256_symbols": (FecConfig.rs(3, 2), block_repair_id(0, 0, 0), 2, 255, 1208),
+    "rlc_no_sources": (FecConfig.rlc(3, 2, 4), conv_repair_id(0, 7), 0, 1, 1208),
+    "xor_no_sources": (FecConfig.xor(2), block_repair_id(0, 0, 0), 0, 1, 1208),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPAIRS))
+def test_malformed_repair_frame_raises_malformed_frame(case):
+    """A repair frame whose shape the announced code cannot have is the
+    peer's fault: a typed error, never a stray IndexError or ValueError
+    from the decoder."""
+    fec, repair_id, nss, nrs, size = MALFORMED_REPAIRS[case]
+    cli = fec_client(ConnectionConfig(fec=fec))
+    source = StreamFrame(0, 0, False, pattern_bytes(0, 100))
+    deliver(cli, Packet(2, [source], True, 0), 2000)  # source symbol 0 of block 0
+    repair = FecFrame(True, 0, repair_id, nss, nrs, bytes(size))
+    with pytest.raises(MalformedFrame):
+        deliver(cli, Packet(3, [repair]), 2100)
