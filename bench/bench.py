@@ -28,7 +28,10 @@ The JSON records:
   - ``Simulator.run`` per no-op event, over 1000 events at increasing
     times, and ``GilbertElliottLoss.sequence`` of 10,000 decisions at the
     middle of the sampled parameter box.
-  Symbols are 1208 bytes, the width of a full packet's symbol;
+  Symbols are 1208 bytes, ``symbol_size_for(MAX_PACKET_SIZE)``: the
+  width the perfbench ``codec`` workload codes at.  The transport codes
+  at ``FEC_SYMBOL_SIZE`` (1168 bytes) so that a repair symbol fits one
+  repair frame; the row cost scales with the width;
 * ``outputs``: the sha256 and host time of one ``fecsim run --seed 0``
   and one ``fecsim fairness --seed 0 --count 1``.  Equal hashes between
   two checkouts show that a change left the simulated results

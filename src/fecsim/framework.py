@@ -21,7 +21,9 @@ Frame wire format (big-endian), header padded to a fixed 16 bytes::
     | 0x0a | dl<<1 | F | chunk | repair id | nss | nrs | reserved | payload
 
 where ``dl`` is the 15-bit payload length of this chunk and ``F`` (the
-least significant bit) marks the final chunk of a repair symbol.
+least significant bit) marks the final chunk of a repair symbol.  The
+transport sizes its symbols to one frame (``F`` set, chunk 0), which the
+receiver takes without buffering.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ class ChunkingOverflow(FecFrameworkError):
 
 
 class MalformedFrame(FecFrameworkError):
-    """Truncated or self-inconsistent repair frame bytes."""
+    """Truncated or self-inconsistent repair frame bytes, or a repair frame
+    at odds with the code its block was first announced with."""
 
 
 class NotAFecFrame(FecFrameworkError):
@@ -387,9 +390,13 @@ class ReceiverFec:
 
     Returns recovered packets as ``(source id, packet bytes)`` pairs; a
     packet that was actually received is never reported (and recovery of
-    the same id is reported at most once).  Block state is discarded when
-    the block completes or falls 64 blocks behind; convolutional state
-    eviction is delegated to :class:`~fecsim.schemes.RlcDecoder`.
+    the same id is reported at most once).  A block's first repair pins its
+    code shape ``(nss, nrs)``.  Block state is discarded when the block
+    completes, after which its late symbols are dropped, or falls 64
+    blocks behind; convolutional state eviction is delegated to
+    :class:`~fecsim.schemes.RlcDecoder`.  A repair symbol split over
+    several frames is buffered until its last chunk arrives, and dropped
+    with its block or once its window falls out of the RLC decoder.
     """
 
     BLOCK_BACKLOG = 64
@@ -402,7 +409,8 @@ class ReceiverFec:
         self._reassembly: dict[int, _PartialRepair] = {}
         self._received: set[int] = set()
         self._recovered: set[int] = set()
-        self._blocks: dict[int, _BlockState] = {}
+        # None marks a completed block until it falls behind the backlog
+        self._blocks: dict[int, Optional[_BlockState]] = {}
         self._newest_block = -1
         self._rlc = (
             schemes.RlcDecoder(window) if scheme == SCHEME_RLC else None
@@ -418,45 +426,38 @@ class ReceiverFec:
         self._received.add(raw_id)
         symbol = frame_symbol(packet_bytes, self.symbol_size)
         if self.scheme == SCHEME_RLC:
-            return self._emit(self._rlc.add_source(raw_id, symbol))
+            recovered = self._rlc.add_source(raw_id, symbol)
+            self._evict_partials()
+            return self._emit(recovered)
         block_no, offset = split_block_source_id(raw_id)
         state = self._block(block_no)
         if state is None:
             return []
+        if state.nss is not None and offset >= state.nss:
+            raise MalformedFrame(f"source {offset} of a block of {state.nss} sources")
         state.sources.setdefault(offset, symbol)
-        return self._attempt_block(block_no)
+        return self._attempt_block(block_no, state)
 
     def on_fec_frame(self, frame: FecFrame) -> list[tuple[int, bytes]]:
         """Feed one repair frame chunk; returns newly recovered packets.
         Raises :class:`MalformedFrame` for a repair symbol not ``symbol_size``
-        bytes long, over no source, or outside its announced block code."""
-        part = self._reassembly.get(frame.repair_id)
-        if part is None:
-            part = _PartialRepair(nss=frame.nss, nrs=frame.nrs)
-            self._reassembly[frame.repair_id] = part
-        elif (part.nss, part.nrs) != (frame.nss, frame.nrs):
-            raise MalformedFrame("chunks of one repair announce different codes")
-        if frame.chunk_offset in part.chunks:
-            return []  # duplicate chunk
-        part.chunks[frame.chunk_offset] = frame.payload
-        if frame.fin:
-            part.fin_offset = frame.chunk_offset
-        if part.fin_offset is None or len(part.chunks) != part.fin_offset + 1:
-            return []
-        payload = b"".join(part.chunks[i] for i in range(part.fin_offset + 1))
-        del self._reassembly[frame.repair_id]
-        if len(payload) != self.symbol_size:
-            raise MalformedFrame(
-                f"{len(payload)}-byte repair symbol, expected {self.symbol_size}"
-            )
+        bytes long, over no source, over more sources than the RLC window,
+        outside its announced block code, or announcing a block shape other
+        than the block's first repair did."""
         if frame.nss == 0:
             raise MalformedFrame("repair symbol over zero source symbols")
-        symbol = np.frombuffer(payload, dtype=np.uint8)
         hi, lo = split_repair_id(frame.repair_id)
         if self.scheme == SCHEME_RLC:
-            return self._emit(
-                self._rlc.add_repair(hi, frame.nss, lo, symbol)
-            )
+            if frame.nss > self._rlc.window:
+                raise MalformedFrame(
+                    f"repair over {frame.nss} sources, window {self._rlc.window}"
+                )
+            symbol = self._assemble(frame)
+            if symbol is None:
+                return []
+            recovered = self._rlc.add_repair(hi, frame.nss, lo, symbol)
+            self._evict_partials()
+            return self._emit(recovered)
         block_no, index = split_block_source_id(hi)
         if index >= frame.nrs or frame.nss + frame.nrs > 256:
             raise MalformedFrame(
@@ -465,30 +466,97 @@ class ReceiverFec:
         state = self._block(block_no)
         if state is None:
             return []
+        if state.nss is None:  # the first repair pins the block's code shape
+            if max(state.sources, default=-1) >= frame.nss:
+                raise MalformedFrame(
+                    f"block {block_no} holds a source past its {frame.nss} sources"
+                )
+            state.nss, state.nrs = frame.nss, frame.nrs
+        elif (state.nss, state.nrs) != (frame.nss, frame.nrs):
+            raise MalformedFrame(
+                f"block {block_no} announced as ({state.nss}, {state.nrs}) "
+                f"sources and repairs, then as ({frame.nss}, {frame.nrs})"
+            )
+        symbol = self._assemble(frame)
+        if symbol is None:
+            return []
         state.repairs.setdefault(index, symbol)
-        state.nss, state.nrs = frame.nss, frame.nrs
-        return self._attempt_block(block_no)
+        return self._attempt_block(block_no, state)
 
     # -- internals --------------------------------------------------------
 
+    def _assemble(self, frame: FecFrame) -> Optional[np.ndarray]:
+        """The repair symbol ``frame`` completes, or None while chunks of it
+        are missing.  A whole symbol in one frame is never buffered."""
+        part = self._reassembly.get(frame.repair_id)
+        if part is None and frame.fin and not frame.chunk_offset:
+            payload = frame.payload
+        else:
+            if part is None:
+                part = _PartialRepair(nss=frame.nss, nrs=frame.nrs)
+                self._reassembly[frame.repair_id] = part
+            elif (part.nss, part.nrs) != (frame.nss, frame.nrs):
+                raise MalformedFrame("chunks of one repair announce different codes")
+            chunks = part.chunks
+            if frame.chunk_offset in chunks:
+                return None  # duplicate chunk
+            chunks[frame.chunk_offset] = frame.payload
+            if frame.fin:
+                part.fin_offset = frame.chunk_offset
+            fin = part.fin_offset
+            if fin is None:
+                return None
+            if max(chunks) > fin:
+                raise MalformedFrame(f"chunk {max(chunks)} past the final chunk {fin}")
+            if len(chunks) != fin + 1:
+                return None
+            payload = b"".join(chunks[i] for i in range(fin + 1))
+            del self._reassembly[frame.repair_id]
+        if len(payload) != self.symbol_size:
+            raise MalformedFrame(
+                f"{len(payload)}-byte repair symbol, expected {self.symbol_size}"
+            )
+        return np.frombuffer(payload, dtype=np.uint8)
+
+    def _evict_partials(self) -> None:
+        """Drop the partial repairs that can no longer help: their block
+        completed or fell behind the backlog, or their RLC window starts
+        below what the decoder keeps."""
+        if not self._reassembly:
+            return
+        if self._rlc is not None:
+            horizon = self._rlc.horizon
+            stale = [r for r in self._reassembly if r >> 32 < horizon]
+        else:
+            blocks = self._blocks
+            stale = [r for r in self._reassembly if blocks.get(r >> 40) is None]
+        for repair_id in stale:
+            del self._reassembly[repair_id]
+
     def _block(self, block_no: int) -> Optional[_BlockState]:
-        if block_no <= self._newest_block - self.BLOCK_BACKLOG:
-            return None
+        """The state of ``block_no``, made on first use; None once the block
+        completed or fell ``BLOCK_BACKLOG`` blocks behind the newest."""
         if block_no > self._newest_block:
             self._newest_block = block_no
-            floor = self._newest_block - self.BLOCK_BACKLOG
+            floor = block_no - self.BLOCK_BACKLOG
             for bn in [b for b in self._blocks if b <= floor]:
                 del self._blocks[bn]
-        return self._blocks.setdefault(block_no, _BlockState())
+            self._evict_partials()
+        elif block_no <= self._newest_block - self.BLOCK_BACKLOG:
+            return None
+        if block_no not in self._blocks:
+            self._blocks[block_no] = _BlockState()
+        return self._blocks[block_no]
 
-    def _attempt_block(self, block_no: int) -> list[tuple[int, bytes]]:
-        state = self._blocks.get(block_no)
-        if state is None or state.nss is None:
+    def _attempt_block(
+        self, block_no: int, state: _BlockState
+    ) -> list[tuple[int, bytes]]:
+        if state.nss is None:
             return []  # code shape unknown until a repair frame arrives
         k = state.nss
         missing = [o for o in range(k) if o not in state.sources]
         if not missing:
-            del self._blocks[block_no]
+            self._close_block(block_no)
             return []
         if len(state.sources) + len(state.repairs) < k:
             return []
@@ -510,8 +578,14 @@ class ReceiverFec:
             state.sources[offset] = solved[offset]
             out.append((block_source_id(block_no, offset), solved[offset]))
         if len(state.sources) == k:
-            del self._blocks[block_no]
+            self._close_block(block_no)
         return self._emit(out)
+
+    def _close_block(self, block_no: int) -> None:
+        """Mark ``block_no`` complete: its later symbols and its partial
+        repairs are dropped."""
+        self._blocks[block_no] = None
+        self._evict_partials()
 
     def _emit(self, pairs: list[tuple[int, np.ndarray]]) -> list[tuple[int, bytes]]:
         out = []

@@ -277,6 +277,12 @@ class RlcDecoder:
         self._horizon = 0
         self._since_sweep = 0
 
+    @property
+    def horizon(self) -> int:
+        """The oldest sequence offset kept; a repair whose window starts
+        below it is dropped."""
+        return self._horizon
+
     # -- feeding ------------------------------------------------------------
 
     def add_source(

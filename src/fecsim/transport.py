@@ -17,6 +17,15 @@ their own unprotected packets, and a receiver that repairs a loss can
 acknowledge the packet and report the repair in a Recovered frame so the
 sender still hears the congestion signal without retransmitting.
 
+Every repair symbol fits one repair frame, so each repair is one packet.
+A repair packet of :data:`MAX_PACKET_SIZE` bytes holds a frame of
+:data:`REPAIR_CHUNK_BUDGET` bytes of payload; the symbol width
+:data:`FEC_SYMBOL_SIZE` is that, rounded down to a multiple of 8.  A
+protected packet therefore holds at most :data:`FEC_PACKET_CAP` bytes, the
+most that :func:`~fecsim.schemes.symbol_size_for` maps into that width,
+which leaves :data:`FEC_STREAM_BUDGET` bytes of stream data.  Packets of a
+connection without FEC keep the full :data:`STREAM_BUDGET`.
+
 A sent packet leaves the flight one way, ``Connection._retire``, for one
 of four reasons: it is acknowledged; it is declared lost, which queues
 its frames again and signals congestion; the peer reports it recovered,
@@ -79,6 +88,16 @@ STREAM_BUDGET = MAX_PACKET_SIZE - PROTECTED_HEADER_LEN - STREAM_FRAME_OVERHEAD
 # repair chunk per packet: an unprotected packet holding one repair frame
 REPAIR_CHUNK_BUDGET = (
     MAX_PACKET_SIZE - PACKET_HEADER_LEN - framework.FEC_FRAME_HEADER_LEN
+)
+# FEC symbol width: the widest multiple of 8 that one repair frame carries
+FEC_SYMBOL_SIZE = REPAIR_CHUNK_BUDGET // 8 * 8
+# the largest protected packet whose symbol is that wide (a symbol adds
+# 8 bytes of framing before rounding up), and the stream data it holds
+FEC_PACKET_CAP = FEC_SYMBOL_SIZE - 8
+FEC_STREAM_BUDGET = FEC_PACKET_CAP - PROTECTED_HEADER_LEN - STREAM_FRAME_OVERHEAD
+assert (
+    symbol_size_for(FEC_PACKET_CAP) == FEC_SYMBOL_SIZE
+    < symbol_size_for(FEC_PACKET_CAP + 1)
 )
 
 STRATEGY_RECOVERED_FRAME = "recovered_frame"
@@ -416,17 +435,20 @@ class Connection:
         self._trace_fn = trace
 
         self._strategy = config.recovered_strategy
-        symbol_size = symbol_size_for(MAX_PACKET_SIZE)
         self._sender_fec: Optional[SenderFec] = None
         self._receiver_fec: Optional[ReceiverFec] = None
+        self._stream_budget = STREAM_BUDGET
         if config.fec is not None:
             fec = config.fec
-            self._sender_fec = SenderFec(fec.scheme, fec.make_params(), symbol_size)
+            self._sender_fec = SenderFec(
+                fec.scheme, fec.make_params(), FEC_SYMBOL_SIZE
+            )
             if fec.scheme == SCHEME_XOR and fec.lanes > 1:
                 self._sender_fec.configure_lanes(fec.lanes)
             self._receiver_fec = ReceiverFec(
-                fec.scheme, symbol_size, window=max(1, fec.window)
+                fec.scheme, FEC_SYMBOL_SIZE, window=max(1, fec.window)
             )
+            self._stream_budget = FEC_STREAM_BUDGET
 
         # send side
         self._next_pn = 1
@@ -703,7 +725,7 @@ class Connection:
             and self._send_stream.has_pending
             and self._handshake_done
         ):
-            self._probe_frames = [self._send_stream.next_frame(STREAM_BUDGET)]
+            self._probe_frames = [self._send_stream.next_frame(self._stream_budget)]
             self.stats.probe_packets += 1
             self._trace("tlp_probe", None, "new_data")
         else:
@@ -771,7 +793,7 @@ class Connection:
         if stream is not None and stream.has_pending and self._handshake_done:
             if not self._cwnd_ok():
                 return None
-            return self._build(now, [stream.next_frame(STREAM_BUDGET)], "stream")
+            return self._build(now, [stream.next_frame(self._stream_budget)], "stream")
         return None
 
     def _maybe_flush_fec(self) -> bool:
@@ -829,10 +851,9 @@ class Connection:
         if protect:
             source_id = self._sender_fec.next_source_id()
         data = encode_packet(Packet(pn, frames, protect, source_id))
-        if len(data) > MAX_PACKET_SIZE:
-            raise AssertionError(
-                f"built a {len(data)}-byte packet (max {MAX_PACKET_SIZE})"
-            )
+        cap = FEC_PACKET_CAP if protect else MAX_PACKET_SIZE
+        if len(data) > cap:
+            raise AssertionError(f"built a {len(data)}-byte packet (max {cap})")
         if protect:
             self._sender_fec.commit_source(source_id, data)
             self._queue_repair_frames()

@@ -362,8 +362,9 @@ def test_criterion_07_bursty_loss_statistics():
 
 # A run counts as "not deteriorated" up to this ratio.  Loss-free runs
 # are identical except for the 4-byte coded-packet header (a ~2e-5
-# ratio); one extra 1208-byte serialization on this path would already
-# cost ~3e-3, so 1e-3 admits header cost and nothing else.
+# ratio); one extra repair packet on this path (a 1168-byte symbol,
+# 1193 bytes on the wire) would already cost ~3e-3 to serialize, so 1e-3
+# admits header cost and nothing else.
 TIE_TOLERANCE = 1.001
 
 

@@ -489,8 +489,8 @@ def test_harness_output_bytes_are_pinned(monkeypatch, tmp_path):
         "compare_csv": sha(ratios),
         "fairness_csv": sha(fairness),
     } == {
-        "run_csv": "e29db3fac1df40325c047fd9e751ec710eaa649bc6c005f56c8301343cf9f214",
-        "run_json": "44f36078614f3b458aa280e930c367c8e09876b0619f8954705fb4b0891dfcfd",
-        "compare_csv": "10b765e70660dc1b1a5a29b4e8c37258c6109b6c76cb209150996e5d30549fa2",
-        "fairness_csv": "c3ba64ac220e4f834c07181a1f38ec0b8586a24d2c03c9a46162a0a65cf60346",
+        "run_csv": "ffcd63006cf7a7e19485067f326d2c3faecf9006a9d43728cc6aa97ebbc87f37",
+        "run_json": "344380c1b9d4e5f2d6c592c201829dcf82755364e19a2af8c384fc16760a0991",
+        "compare_csv": "16e6e5dee45f964ba120e44897e5de0fd44ed40fbd5eac196725983ecbffe707",
+        "fairness_csv": "ee41b4614730e7e15c181b99383061781ea12abd5ce701df43163fb469df8842",
     }

@@ -5,7 +5,11 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fecsim import framework
+from fecsim.frames import MAX_PACKET_SIZE
 from fecsim.framework import (
     FEC_FRAME_HEADER_LEN,
     MAX_CHUNK_PAYLOAD,
@@ -21,6 +25,7 @@ from fecsim.framework import (
     block_repair_id,
     block_source_id,
     chunk_frames,
+    chunk_repair,
     conv_repair_id,
     encode_fec_frame,
     parse_fec_frame,
@@ -34,7 +39,10 @@ from fecsim.schemes import (
     BlockCodeParams,
     ConvolutionalParams,
     InvalidParams,
+    RLC_EVICT_WINDOWS,
+    symbol_size_for,
 )
+from fecsim.transport import FEC_SYMBOL_SIZE, REPAIR_CHUNK_BUDGET
 
 SYMBOL = 64  # small symbol size keeps the tests fast
 
@@ -360,6 +368,109 @@ def test_receiver_evicts_blocks_behind_backlog():
     assert out == []  # too late, the block fell out of the backlog
 
 
+def test_receiver_never_buffers_a_single_chunk_repair(monkeypatch):
+    """A repair symbol that arrives whole in one frame goes straight to the
+    decoder, with no reassembly state made for it."""
+    rnd = random.Random(37)
+    packets = [random_packet(rnd) for _ in range(4)]
+    sender = make_sender(SCHEME_REED_SOLOMON, BlockCodeParams(6, 4))
+    receiver = ReceiverFec(SCHEME_REED_SOLOMON, SYMBOL)
+    ids = [push_packet(sender, p) for p in packets]
+    monkeypatch.setattr(framework, "_PartialRepair", None)  # any use raises
+    receiver.on_source_symbol(ids[0], packets[0])
+    for pending in sender.pending:
+        (frame,) = chunk_repair(pending, SYMBOL)
+        assert receiver.on_fec_frame(frame) == []
+    assert receiver.on_source_symbol(ids[1], packets[1]) == [
+        (ids[2], packets[2]),
+        (ids[3], packets[3]),
+    ]
+
+
+def test_receiver_pins_block_shape_at_first_repair():
+    rnd = random.Random(38)
+    packets = [random_packet(rnd) for _ in range(3)]
+    sender = make_sender(SCHEME_REED_SOLOMON, BlockCodeParams(5, 3))
+    receiver = ReceiverFec(SCHEME_REED_SOLOMON, SYMBOL)
+    ids = [push_packet(sender, p) for p in packets]
+    honest, later = sender.pending
+    assert receiver.on_source_symbol(ids[0], packets[0]) == []
+    assert receiver.on_fec_frame(
+        FecFrame(True, 0, honest.repair_id, 3, 2, honest.payload)
+    ) == []
+    for nss, nrs in ((2, 2), (3, 3), (4, 2)):
+        with pytest.raises(MalformedFrame, match="announced as"):
+            receiver.on_fec_frame(
+                FecFrame(True, 0, later.repair_id, nss, nrs, later.payload)
+            )
+    # the honest repair still completes the block
+    assert receiver.on_fec_frame(
+        FecFrame(True, 0, later.repair_id, 3, 2, later.payload)
+    ) == [(ids[1], packets[1]), (ids[2], packets[2])]
+
+
+def test_receiver_rejects_a_source_outside_its_block_shape():
+    """A source id past the block's announced source count is the peer's
+    fault, whichever of the two arrives first."""
+    rnd = random.Random(39)
+    packets = [random_packet(rnd) for _ in range(3)]
+    sender = make_sender(SCHEME_REED_SOLOMON, BlockCodeParams(5, 3))
+    ids = [push_packet(sender, p) for p in packets]
+    repair = sender.pending[0]
+    frame = FecFrame(True, 0, repair.repair_id, 3, 2, repair.payload)
+    stray = block_source_id(0, 4)
+    receiver = ReceiverFec(SCHEME_REED_SOLOMON, SYMBOL)
+    receiver.on_source_symbol(ids[0], packets[0])
+    receiver.on_source_symbol(stray, b"stray")
+    with pytest.raises(MalformedFrame, match="past its 3 sources"):
+        receiver.on_fec_frame(frame)
+    receiver = ReceiverFec(SCHEME_REED_SOLOMON, SYMBOL)
+    receiver.on_fec_frame(frame)
+    with pytest.raises(MalformedFrame, match="source 4 of a block of 3"):
+        receiver.on_source_symbol(stray, b"stray")
+
+
+def test_receiver_rejects_a_chunk_past_the_final_chunk():
+    receiver = ReceiverFec(SCHEME_REED_SOLOMON, SYMBOL)
+    repair_id = block_repair_id(0, 0, 0)
+    assert receiver.on_fec_frame(FecFrame(False, 2, repair_id, 2, 1, b"c")) == []
+    with pytest.raises(MalformedFrame, match="past the final chunk"):
+        receiver.on_fec_frame(FecFrame(True, 1, repair_id, 2, 1, b"b"))
+
+
+@pytest.mark.parametrize(
+    "scheme", [SCHEME_XOR, SCHEME_REED_SOLOMON, SCHEME_RLC], ids=["xor", "rs", "rlc"]
+)
+def test_receiver_drops_partial_repairs_with_their_block(scheme):
+    """Only the first chunk of every repair arrives, over more blocks than
+    the backlog holds (or RLC windows than the decoder keeps): the partial
+    repairs are dropped with their block or window, not kept forever."""
+    rnd = random.Random(40)
+    if scheme == SCHEME_RLC:
+        params, window = ConvolutionalParams(3, 2, 4), 4
+        bound = (RLC_EVICT_WINDOWS * window + 1) * params.repairs + 1
+    else:
+        params, window = BlockCodeParams(6 if scheme == SCHEME_REED_SOLOMON else 5, 4), 1
+        bound = ReceiverFec.BLOCK_BACKLOG * params.repairs + 1
+    sender = make_sender(scheme, params)
+    receiver = ReceiverFec(scheme, SYMBOL, window=window)
+    blocks = 3 * ReceiverFec.BLOCK_BACKLOG
+    peak = 0
+    for _ in range(blocks * params.k):
+        raw = push_packet(sender, random_packet(rnd))
+        if raw % 2:  # lose every other source, so no block completes
+            receiver.on_source_symbol(raw, b"")
+        for pending in sender.pending:
+            first = chunk_frames(
+                pending.payload, pending.repair_id, pending.nss, pending.nrs, 20
+            )[0]
+            assert receiver.on_fec_frame(first) == []
+        sender.pending.clear()
+        peak = max(peak, len(receiver._reassembly))
+    assert peak <= bound < blocks * params.repairs
+    assert len(receiver._blocks) <= ReceiverFec.BLOCK_BACKLOG
+
+
 def test_rlc_sender_receiver_roundtrip_with_loss():
     rnd = random.Random(35)
     packets = [random_packet(rnd) for _ in range(20)]
@@ -383,6 +494,134 @@ def test_xor_sender_receiver_roundtrip_single_loss_per_lane():
     by_id = dict(recovered)
     assert len(by_id) == 2
     assert set(by_id.values()) == {packets[2], packets[5]}
+
+
+# ---------------------------------------------------------------------------
+# Receiver invariants under loss, duplication, reordering and forgery
+
+# code -> (scheme, params, xor lanes, rlc window): short codes, so that a
+# few dozen packets span more blocks than the receiver below keeps
+PROPERTY_CODES = {
+    "xor": (SCHEME_XOR, BlockCodeParams(5, 4), 2, 1),
+    "rs": (SCHEME_REED_SOLOMON, BlockCodeParams(6, 4), 1, 1),
+    "rlc": (SCHEME_RLC, ConvolutionalParams(3, 2, 4), 1, 4),
+}
+PROPERTY_BACKLOG = 4
+
+
+def coded_wire(code, width, count, flush_rate, rnd):
+    """A sender's packets and repair frames in send order, the repair
+    symbols chunked as a repair packet carries them, and the originals."""
+    scheme, params, lanes, _ = PROPERTY_CODES[code]
+    sender = SenderFec(scheme, params, width)
+    if lanes > 1:
+        sender.configure_lanes(lanes)
+    wire, originals = [], {}
+    for i in range(count):
+        packet = rnd.randbytes(rnd.randint(1, width - 8))
+        raw = push_packet(sender, packet)
+        originals[raw] = packet
+        wire.append((raw, packet))
+        if i == count - 1 or rnd.random() < flush_rate:
+            sender.flush()  # a short block or window step, as at a stream's end
+        for pending in sender.pending:
+            wire.extend(chunk_repair(pending, REPAIR_CHUNK_BUDGET))
+        sender.pending.clear()
+    return wire, originals
+
+
+@pytest.mark.parametrize("width", [FEC_SYMBOL_SIZE, symbol_size_for(MAX_PACKET_SIZE)])
+@pytest.mark.parametrize("code", sorted(PROPERTY_CODES))
+@settings(deadline=None, max_examples=100)
+@given(
+    count=st.integers(1, 40),
+    flush_rate=st.sampled_from([0.0, 0.1, 0.5]),
+    loss=st.floats(0.0, 0.5),
+    dup=st.floats(0.0, 0.3),
+    reorder=st.integers(0, 12),
+    forge=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_receiver_reports_only_committed_packets(
+    code, width, count, flush_rate, loss, dup, reorder, forge, seed
+):
+    """Every packet ReceiverFec reports is byte-equal to one SenderFec
+    committed and was not received.  Its block state and partial repairs
+    stay within the backlog or the RLC decoder's horizon.  A forged repair
+    frame that re-announces its block's code shape (for RLC, a window wider
+    than the code's) after the block's first repair arrived raises
+    MalformedFrame whenever the block is still open, and is otherwise
+    dropped; an honest frame never raises."""
+    scheme, params, _, window = PROPERTY_CODES[code]
+    rnd = random.Random(seed)  # packet bytes and per-item fates
+    wire, originals = coded_wire(code, width, count, flush_rate, rnd)
+    if width == FEC_SYMBOL_SIZE:
+        assert all(f.fin and not f.chunk_offset for f in wire if type(f) is FecFrame)
+    arrivals = []  # (arrival key, item): lose, duplicate and delay each
+    for i, item in enumerate(wire):
+        if rnd.random() >= loss:
+            arrivals.append((i + rnd.uniform(0, reorder), item))
+            if rnd.random() < dup:
+                arrivals.append((i + rnd.uniform(0, reorder), item))
+    arrivals = [item for _, item in sorted(arrivals, key=lambda a: a[0])]
+    repairs_at = [i for i, item in enumerate(arrivals) if type(item) is FecFrame]
+    forged = None
+    if forge and repairs_at:
+        at = rnd.choice(repairs_at)
+        honest = arrivals[at]
+        if scheme == SCHEME_RLC:
+            nss = window + rnd.randint(1, 8)
+        else:
+            nss = rnd.choice([n for n in range(1, 257 - honest.nrs) if n != honest.nss])
+        forged = FecFrame(
+            honest.fin, honest.chunk_offset, honest.repair_id,
+            nss, honest.nrs, honest.payload,
+        )
+        arrivals.insert(rnd.randint(at + 1, len(arrivals)), forged)
+
+    receiver = ReceiverFec(scheme, width, window=window)
+    receiver.BLOCK_BACKLOG = PROPERTY_BACKLOG
+    delivered, reported = set(), set()
+    repaired_blocks = set()  # blocks with a repair frame fed
+    newest_block = -1
+    for item in arrivals:
+        is_frame = type(item) is FecFrame
+        block = (item.repair_id >> 40) if is_frame else item[0] >> 8
+        if item is forged and scheme != SCHEME_RLC:
+            block_sources = [raw for raw in originals if raw >> 8 == block]
+            must_raise = (
+                block in repaired_blocks
+                and block > newest_block - PROPERTY_BACKLOG
+                and not set(block_sources) <= delivered | reported
+            )
+        else:
+            must_raise = item is forged
+        try:
+            if is_frame:
+                out = receiver.on_fec_frame(item)
+            else:
+                out = receiver.on_source_symbol(*item)
+        except MalformedFrame:
+            assert item is forged
+            break
+        assert not must_raise
+        assert item is not forged or out == []
+        for raw, packet in out:
+            assert packet == originals[raw]
+            assert raw not in delivered and raw not in reported
+            reported.add(raw)
+        if not is_frame:
+            delivered.add(item[0])
+        if scheme != SCHEME_RLC:
+            newest_block = max(newest_block, block)
+            if is_frame:
+                repaired_blocks.add(block)
+            assert len(receiver._blocks) <= PROPERTY_BACKLOG
+            assert len(receiver._reassembly) <= PROPERTY_BACKLOG * params.repairs
+            assert all(receiver._blocks.get(r >> 40) for r in receiver._reassembly)
+        else:
+            horizon = receiver._rlc.horizon
+            assert all(r >> 32 >= horizon for r in receiver._reassembly)
 
 
 # ---------------------------------------------------------------------------

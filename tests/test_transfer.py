@@ -6,8 +6,16 @@ import re
 import pytest
 
 from fecsim.experiments import LossSpec, Scenario, run_transfer
+from fecsim.framework import FecFrame
+from fecsim.frames import parse_packet
 from fecsim.netem import PredicateLoss, SimulationRunaway, serialization_us
-from fecsim.transport import FecConfig
+from fecsim.transport import (
+    FEC_PACKET_CAP,
+    FEC_STREAM_BUDGET,
+    FEC_SYMBOL_SIZE,
+    STREAM_BUDGET,
+    FecConfig,
+)
 
 CLEAN = Scenario("clean", 1_890_000, 380_500, LossSpec("none"))
 UNIFORM = Scenario("uni", 468_000, 131_000, LossSpec("uniform", p=0.033))
@@ -70,6 +78,39 @@ def test_fec_adds_wire_overhead_but_not_latency_for_small_files():
     assert fec.wire_bytes > base.wire_bytes
     # the repair rides behind the response, not in front of it
     assert fec.dct_us == pytest.approx(base.dct_us, rel=0.10)
+
+
+@pytest.mark.parametrize("variant", ["baseline", "rs", "rlc", "xor"])
+def test_each_repair_symbol_is_one_packet(variant):
+    """Every repair packet holds one repair frame carrying a whole symbol,
+    so no symbol is split over two packets.  Protected packets fit that
+    symbol width; a connection without FEC still fills whole packets."""
+    sent = []  # (kind, size, parsed packet) of every server datagram
+
+    def record(d):
+        if d.src == "server":
+            sent.append((d.kind, len(d.data), parse_packet(d.data)))
+        return False
+
+    result = run_transfer(
+        CLEAN, VARIANTS[variant], 50_000, seed=0, loss_model=PredicateLoss(record)
+    )
+    assert result.completed
+    repairs = [pkt.frames for kind, _, pkt in sent if kind == "repair"]
+    for frames in repairs:
+        (frame,) = frames
+        assert type(frame) is FecFrame
+        assert frame.fin and frame.chunk_offset == 0
+        assert len(frame.payload) == FEC_SYMBOL_SIZE
+    assert len({frames[0].repair_id for frames in repairs}) == len(repairs)
+    streams = [(size, pkt) for kind, size, pkt in sent if kind == "stream"]
+    largest = max(len(pkt.frames[0].data) for _, pkt in streams)
+    if variant == "baseline":
+        assert not repairs and largest == STREAM_BUDGET
+    else:
+        assert repairs and largest == FEC_STREAM_BUDGET
+        assert all(pkt.fec_protected for _, pkt in streams)
+        assert max(size for size, _ in streams) == FEC_PACKET_CAP
 
 
 def test_fec_code_rate_orders_wire_overhead():

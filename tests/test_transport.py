@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fecsim.framework import FecFrame, MalformedFrame, block_repair_id, conv_repair_id
+from fecsim.framework import (
+    FecFrame,
+    MalformedFrame,
+    SenderFec,
+    block_repair_id,
+    conv_repair_id,
+)
 from fecsim.frames import (
     AckFrame,
     HandshakeFrame,
@@ -17,6 +23,7 @@ from fecsim.frames import (
 )
 from fecsim.transport import (
     ACK_RANGE_CAP,
+    FEC_SYMBOL_SIZE,
     HOLE_TIME_FRACTION,
     MAX_PACKET_SIZE,
     Connection,
@@ -888,15 +895,27 @@ def test_client_completes_once():
     ]
 
 
+# Well-formed payloads are one symbol wide, so each case fails for its name.
 MALFORMED_REPAIRS = {
     # name: (code, repair id, nss, nrs, payload bytes)
-    "rs_index_above_nrs": (FecConfig.rs(3, 2), block_repair_id(0, 5, 5), 2, 1, 1208),
+    "rs_index_above_nrs": (
+        FecConfig.rs(3, 2), block_repair_id(0, 5, 5), 2, 1, FEC_SYMBOL_SIZE
+    ),
     "xor_short_payload": (FecConfig.xor(2), block_repair_id(0, 0, 0), 2, 1, 10),
     "rs_short_payload": (FecConfig.rs(3, 2), block_repair_id(0, 0, 0), 2, 1, 10),
     "rlc_short_payload": (FecConfig.rlc(3, 2, 4), conv_repair_id(0, 7), 2, 1, 10),
-    "rs_more_than_256_symbols": (FecConfig.rs(3, 2), block_repair_id(0, 0, 0), 2, 255, 1208),
-    "rlc_no_sources": (FecConfig.rlc(3, 2, 4), conv_repair_id(0, 7), 0, 1, 1208),
-    "xor_no_sources": (FecConfig.xor(2), block_repair_id(0, 0, 0), 0, 1, 1208),
+    "rs_more_than_256_symbols": (
+        FecConfig.rs(3, 2), block_repair_id(0, 0, 0), 2, 255, FEC_SYMBOL_SIZE
+    ),
+    "rlc_no_sources": (
+        FecConfig.rlc(3, 2, 4), conv_repair_id(0, 7), 0, 1, FEC_SYMBOL_SIZE
+    ),
+    "rlc_window_wider_than_code": (
+        FecConfig.rlc(3, 2, 4), conv_repair_id(0, 7), 5, 1, FEC_SYMBOL_SIZE
+    ),
+    "xor_no_sources": (
+        FecConfig.xor(2), block_repair_id(0, 0, 0), 0, 1, FEC_SYMBOL_SIZE
+    ),
 }
 
 
@@ -912,3 +931,30 @@ def test_malformed_repair_frame_raises_malformed_frame(case):
     repair = FecFrame(True, 0, repair_id, nss, nrs, bytes(size))
     with pytest.raises(MalformedFrame):
         deliver(cli, Packet(3, [repair]), 2100)
+
+
+def test_repair_reannouncing_its_block_shape_raises_malformed_frame():
+    """An rs(5,3) block: source 0 and an honest repair 0 arrive, then repair
+    1 claims the block has 2 sources.  Decoding with that shape would hand
+    the stream a wrong packet as recovered; the block keeps the shape its
+    first repair announced and the disagreeing repair is the peer's fault."""
+    fec = FecConfig.rs(5, 3)
+    cli = fec_client(ConnectionConfig(fec=fec))
+    sender = SenderFec(fec.scheme, fec.make_params(), FEC_SYMBOL_SIZE)
+    sources = []
+    for i in range(3):
+        raw = sender.next_source_id()
+        stream = StreamFrame(0, 100 * i, False, pattern_bytes(100 * i, 100))
+        data = encode_packet(Packet(2 + i, [stream], True, raw))
+        sender.commit_source(raw, data)
+        sources.append(data)
+    honest, later = sender.pending
+    assert (honest.nss, honest.nrs) == (later.nss, later.nrs) == (3, 2)
+    cli.on_datagram(sources[0], 2000)
+    first = FecFrame(True, 0, honest.repair_id, 3, 2, honest.payload)
+    deliver(cli, Packet(10, [first]), 2100)
+    forged = FecFrame(True, 0, later.repair_id, 2, 2, later.payload)
+    with pytest.raises(MalformedFrame):
+        deliver(cli, Packet(11, [forged]), 2200)
+    assert cli.stats.recovered_packets == 0
+    assert cli.received_bytes == 100
