@@ -4,7 +4,7 @@ loss paths and the event loop, and the seed-0 output hashes.
 Run from the root of a checkout; fecsim is imported from that checkout's
 ``src/``::
 
-    python3 bench/bench.py --out BENCH_9.json
+    python3 bench/bench.py --out BENCH_12.json
 
 The JSON records:
 
@@ -15,11 +15,13 @@ The JSON records:
   - ``rlc_coefficients`` and ``rlc_encode`` for a 20-symbol window, and
     ``RlcDecoder.add_repair`` of a repair over that window that rebuilds
     its one missing source;
-  - ``Connection._on_ack_frame`` on a 300-packet flight with a 32-range
-    ACK, and ``encode_frame`` and ``parse_frames`` on a 32-range
-    ``AckFrame``;
+  - ``Connection._on_ack_frame`` on a 300-packet flight, and
+    ``encode_frame`` and ``parse_frames`` on an ``AckFrame``, at 1, 12,
+    22 and 32 ranges (1, 12 and 22 are the mean ranges per ACK measured
+    on ``fecsim run --seed 0`` and ``fecsim fairness --seed 0 --count 1``
+    before the range-list layout, 32 the most an ACK carries);
   - ``Connection._ack_frame``, building the ACK from a 64-range
-    ``RangeSet``;
+    ``RangeSet`` whose kept bytes are current;
   - ``Connection.next_timer_us`` on a 300-packet flight after an ACK that
     leaves two holes, and the ``Connection.on_timer`` call that declares
     both lost by the time threshold;
@@ -79,6 +81,7 @@ from fecsim.transport import (  # noqa: E402
 
 FLIGHT = 300
 RANGES = 32
+ACK_SIZES = (1, 12, 22, RANGES)
 EVENTS = 1000
 FRESH_REPEATS = 1000
 SYMBOL = schemes.symbol_size_for(MAX_PACKET_SIZE)
@@ -88,11 +91,11 @@ WINDOW = 20
 RLC_SEED = 0xBEEF
 
 
-def ack_with_gaps() -> AckFrame:
-    """32 ranges of 8 packets over the oldest 287 packets of the flight,
-    with a one-packet hole between neighbours: all 31 holes are lost."""
-    bounds = tuple(v for i in range(RANGES) for v in (1 + 9 * i, 8 + 9 * i))
-    return AckFrame(bounds[-1], 0, bounds)
+def ack_with_gaps(ranges: int = RANGES) -> AckFrame:
+    """``ranges`` ranges of 8 packets over the oldest packets of the
+    flight, with a one-packet hole between neighbours: every hole is
+    lost."""
+    return AckFrame.of(tuple(v for i in range(ranges) for v in (1 + 9 * i, 8 + 9 * i)))
 
 
 def server_with_flight() -> Connection:
@@ -109,7 +112,7 @@ def server_with_holes() -> Connection:
     153: packets 151 and 152 are holes, too shallow for the reorder
     threshold, so only the hole timer can declare them lost."""
     conn = server_with_flight()
-    conn._on_ack_frame(AckFrame(153, 0, (1, 150, 153, 153)), 100_000)
+    conn._on_ack_frame(AckFrame.of((1, 150, 153, 153)), 100_000)
     return conn
 
 
@@ -195,13 +198,25 @@ def bench_fresh(make, run) -> dict:
     return {"median_us": statistics.median(samples), "samples": len(samples)}
 
 
-def bench_on_ack_frame() -> dict:
-    ack = ack_with_gaps()
-    conn = server_with_flight()
-    conn._on_ack_frame(ack, 100_000)
-    if conn.stats.lost_packets != RANGES - 1:
-        raise SystemExit("the ACK must declare every hole lost")
-    return bench_fresh(server_with_flight, lambda c: c._on_ack_frame(ack, 100_000))
+def ack_micro() -> dict:
+    """``_on_ack_frame`` on the 300-packet flight, and encoding and parsing
+    the ACK, at each of ``ACK_SIZES`` ranges."""
+    out = {}
+    for ranges in ACK_SIZES:
+        ack = ack_with_gaps(ranges)
+        wire = encode_frame(ack)
+        if parse_frames(wire) != [ack] or len(ack.ranges) != ranges:
+            raise SystemExit("the ACK frame does not round-trip")
+        conn = server_with_flight()
+        conn._on_ack_frame(ack, 100_000)
+        if conn.stats.lost_packets != ranges - 1:
+            raise SystemExit("the ACK must declare every hole lost")
+        out[f"transport.on_ack_frame_300_flight_{ranges}_ranges"] = bench_fresh(
+            server_with_flight, lambda c: c._on_ack_frame(ack, 100_000)
+        )
+        out[f"frames.encode_ack_{ranges}_ranges"] = bench_call(lambda: encode_frame(ack))
+        out[f"frames.parse_ack_{ranges}_ranges"] = bench_call(lambda: parse_frames(wire))
+    return out
 
 
 def coding_micro() -> dict:
@@ -273,10 +288,6 @@ def main() -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args()
 
-    ack = ack_with_gaps()
-    wire = encode_frame(ack)
-    if parse_frames(wire) != [ack]:
-        raise SystemExit("the ACK frame does not round-trip")
     report = {
         "host": {
             "python": platform.python_version(),
@@ -285,9 +296,7 @@ def main() -> int:
         },
         "micro": {
             **coding_micro(),
-            "transport.on_ack_frame_300_flight_32_ranges": bench_on_ack_frame(),
-            "frames.encode_ack_32_ranges": bench_call(lambda: encode_frame(ack)),
-            "frames.parse_ack_32_ranges": bench_call(lambda: parse_frames(wire)),
+            **ack_micro(),
             **ack_build_micro(),
             **loss_path_micro(),
             **packet_micro(),

@@ -16,7 +16,7 @@ import random
 import statistics
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .netem import (
@@ -378,9 +378,11 @@ def run_transfer(
 class ExperimentRecord:
     """One scenario x variant x size cell: the per-repetition completion
     times, their median, and the wire metrics of the median repetition.
-    ``dct_us`` is None when the cell's loss pattern prevented completion
-    within the event budget (such cells are logged but excluded from
-    ratio tables)."""
+    ``dct_us`` is None when a repetition did not complete (such cells are
+    logged but excluded from ratio tables); ``failure`` then says how:
+    ``"runaway"`` when it exhausted the event budget, ``"incomplete"`` when
+    the emulation went idle with the download unfinished.  The run CSV
+    writes both as an empty median, so ``failure`` is not compared."""
 
     scenario: str
     variant: str
@@ -394,6 +396,7 @@ class ExperimentRecord:
     wire_bytes: int
     retransmissions: int
     recoveries: int
+    failure: str = field(default="", compare=False)
 
 
 def run_matrix(
@@ -412,9 +415,10 @@ def run_matrix(
     the variant, so two variants face identical loss processes and their
     records pair up for ratio analysis.  The reported wire bytes,
     retransmission and recovery counts come from the repetition that
-    produced the median completion time.  A cell whose loss pattern
-    exhausts the event budget is recorded with an empty median instead
-    of aborting the sweep.
+    produced the median completion time.  A cell with a repetition that
+    exhausts the event budget or goes idle unfinished is recorded with an
+    empty median instead of aborting the sweep; ``rep_dcts_us`` holds the
+    repetitions that completed.
     """
     if reps < 1:
         raise ValueError("reps must be positive")
@@ -424,6 +428,7 @@ def run_matrix(
             cell_seed = derive_seed(base_seed, si, zi)
             for variant_name, fec in variants.items():
                 results = []
+                failure = ""
                 try:
                     for rep in range(reps):
                         results.append(
@@ -436,9 +441,12 @@ def run_matrix(
                                 max_events=max_events,
                             )
                         )
-                    median = sorted(results, key=lambda r: r.dct_us)[reps // 2]
                 except SimulationRunaway:
-                    median = None
+                    failure = "runaway"
+                done = [r for r in results if r.dct_us is not None]
+                if not failure and len(done) < reps:
+                    failure = "incomplete"
+                median = None if failure else sorted(done, key=lambda r: r.dct_us)[reps // 2]
                 records.append(
                     ExperimentRecord(
                         scenario=scenario.name,
@@ -449,10 +457,11 @@ def run_matrix(
                         seed=cell_seed,
                         reps=reps,
                         dct_us=median.dct_us if median else None,
-                        rep_dcts_us=tuple(r.dct_us for r in results),
+                        rep_dcts_us=tuple(r.dct_us for r in done),
                         wire_bytes=median.wire_bytes if median else 0,
                         retransmissions=median.retransmissions if median else 0,
                         recoveries=median.recoveries if median else 0,
+                        failure=failure,
                     )
                 )
     return records

@@ -13,14 +13,22 @@ where flags bit 0 marks a FEC-protected packet (the source id field is
 present only then).  One packet per datagram; packets are at most
 :data:`MAX_PACKET_SIZE` bytes.
 
-A packet-number range list (ACK and Recovered frames) is held as one flat
-ascending sequence of inclusive bounds, ``(lo0, hi0, lo1, hi1, ...)``, in
-the order the wire carries them as u64 pairs, so the newest range comes
-last (RFC 9000 section 19.3 sends it first, as a gap and length list).
-Parsing checks only what a single range can get wrong: a range with
-``hi < lo`` raises :class:`MalformedFrame`.  Whether the ranges are
-ascending and disjoint, name sent packets and end at the largest
-acknowledged is the transport's check, which raises ``ProtocolViolation``.
+A packet-number range list (ACK and Recovered frames) follows RFC 9000
+section 19.3::
+
+    | type (1) | top (8) | range count (2) | width (1) | values ... |
+
+``top`` is the highest packet number listed: for an ACK, the largest
+acknowledged.  ``width`` is 1, 2, 4 or 8, the narrowest byte width that
+holds the largest value, and every value takes that width.  The values
+run newest first: the newest range's length (its ``hi - lo``), then for
+each older range its gap and its length, where the gap is the distance
+from that range's ``hi`` to the next newer range's ``lo``, minus 2.  A
+frame holds them as ``steps``.  Ranges that are out of order, overlap or
+touch cannot be written, nor can a largest above the ranges.  Parsing
+raises :class:`MalformedFrame` for a truncated list, a bad width, zero
+ranges or a range reaching below 0.  Whether the ranges name sent packets
+is the transport's check (``ProtocolViolation``).
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import cache
-from operator import le
 from typing import Optional, Union
 
 from . import framework
@@ -50,8 +57,7 @@ PROTECTED_HEADER_LEN = 13
 PACKET_FLAG_FEC_PROTECTED = 0x01
 
 _STREAM_HEADER = struct.Struct(">BIQBH")
-_ACK_HEADER = struct.Struct(">BQIH")
-_RECOVERED_HEADER = struct.Struct(">BH")
+_RANGE_HEADER = struct.Struct(">BQHB")  # type, top, range count, width
 _HANDSHAKE = struct.Struct(">BB")
 _PACKET_HEADER = struct.Struct(">BQ")
 _PROTECTED_HEADER = struct.Struct(">BQI")
@@ -59,19 +65,53 @@ _PROTECTED_HEADER = struct.Struct(">BQI")
 STREAM_FRAME_OVERHEAD = _STREAM_HEADER.size  # 16 bytes before the data
 
 
-@cache  # at most one per 16-bit range count
-def _bounds_struct(n: int) -> struct.Struct:
-    """The struct of ``n`` big-endian u64 bounds."""
-    return struct.Struct(">%dQ" % n)
+_WIDTH_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}  # range-list value widths
+# a range list's header and its first value, per width
+_RANGE_HEAD = {w: struct.Struct(_RANGE_HEADER.format + c) for w, c in _WIDTH_CODE.items()}
+
+
+@cache  # at most one per width and 16-bit range count
+def _steps_struct(width: int, n: int) -> struct.Struct:
+    """The struct of ``n`` big-endian values ``width`` bytes wide."""
+    return struct.Struct(">%d%s" % (n, _WIDTH_CODE[width]))
+
+
+def step_width(value: int) -> int:
+    """The narrowest range-list width, in bytes, that holds ``value``."""
+    if value < 0x100:
+        return 1
+    if value < 0x10000:
+        return 2
+    return 4 if value < 0x100000000 else 8
+
+
+def pack_steps(width: int, steps) -> bytes:
+    """Range-list values, each ``width`` bytes."""
+    return _steps_struct(width, len(steps)).pack(*steps)
+
+
+def range_list_head(ftype: int, top: int, count: int, width: int, first: int) -> bytes:
+    """A range list up to its older ranges: the header, then the newest
+    range's length."""
+    return _RANGE_HEAD[width].pack(ftype, top, count, width, first)
+
+
+def range_steps(bounds) -> tuple[int, ...]:
+    """The values of ascending flat inclusive bounds ``(lo0, hi0, lo1, hi1,
+    ...)``, newest first.  Raises ``ValueError`` for ranges that cannot be
+    written: none, inverted, out of order, overlapping or touching."""
+    if not bounds:
+        raise ValueError("a range list needs a range")
+    steps = [bounds[-1] - bounds[-2]]
+    for i in range(len(bounds) - 3, 0, -2):  # bounds[i] tops an older range
+        steps += (bounds[i + 1] - bounds[i] - 2, bounds[i] - bounds[i - 1])
+    if min(steps) < 0 or bounds[0] < 0:
+        raise ValueError(f"ranges {bounds} are not ascending, disjoint and apart")
+    return tuple(steps)
 
 
 class UnknownFrameType(MalformedFrame):
     pass
-
-
-def _ranges(frame) -> list[tuple[int, int]]:
-    """A range-list frame's ranges as inclusive (lo, hi) pairs."""
-    return list(zip(frame.bounds[::2], frame.bounds[1::2]))
 
 
 @dataclass(slots=True)
@@ -83,17 +123,59 @@ class StreamFrame:
 
 
 @dataclass(slots=True)
-class AckFrame:
-    largest_acked: int
-    ack_delay_us: int
-    bounds: tuple[int, ...]  # inclusive (lo, hi) pairs, flattened, ascending
-    ranges = property(_ranges)
+class _RangeList:
+    """Packet-number ranges as the wire carries them: ``largest`` tops the
+    newest range, ``steps`` holds its length, then a gap and a length per
+    older range.  ``encoded`` is the frame's wire bytes, when they were
+    packed as it was made."""
+
+    largest: int
+    steps: tuple[int, ...]
+    encoded: bytes = field(default=b"", compare=False, repr=False)
+
+    @classmethod
+    def of(cls, bounds):
+        """The frame of ascending flat inclusive bounds."""
+        steps = range_steps(bounds)
+        return cls(bounds[-1], steps)
+
+    def newest_first(self):
+        """The inclusive (lo, hi) ranges, newest first."""
+        values = iter(self.steps)
+        hi = self.largest
+        lo = hi - next(values)
+        yield lo, hi
+        for gap, length in zip(values, values):
+            hi = lo - gap - 2
+            lo = hi - length
+            yield lo, hi
+
+    @property
+    def ranges(self) -> list[tuple[int, int]]:
+        """The inclusive (lo, hi) ranges, ascending."""
+        return list(self.newest_first())[::-1]
+
+    @property
+    def bounds(self) -> tuple[int, ...]:
+        """The ranges as ascending flat inclusive bounds."""
+        return tuple(v for r in self.ranges for v in r)
+
+    def encode(self) -> bytes:
+        steps = self.steps
+        width = step_width(max(steps))
+        return range_list_head(
+            self.TYPE, self.largest, (len(steps) + 1) >> 1, width, steps[0]
+        ) + pack_steps(width, steps[1:])
 
 
 @dataclass(slots=True)
-class RecoveredFrame:
-    bounds: tuple[int, ...]  # inclusive (lo, hi) pairs, flattened, ascending
-    ranges = property(_ranges)
+class AckFrame(_RangeList):
+    TYPE = FRAME_ACK
+
+
+@dataclass(slots=True)
+class RecoveredFrame(_RangeList):
+    TYPE = FRAME_RECOVERED
 
 
 @dataclass(slots=True)
@@ -114,16 +196,8 @@ def encode_frame(frame: Frame) -> bytes:
             )
             + data
         )
-    if kind is AckFrame:
-        bounds = frame.bounds
-        return _ACK_HEADER.pack(
-            FRAME_ACK, frame.largest_acked, frame.ack_delay_us, len(bounds) >> 1
-        ) + _bounds_struct(len(bounds)).pack(*bounds)
-    if kind is RecoveredFrame:
-        bounds = frame.bounds
-        return _RECOVERED_HEADER.pack(
-            FRAME_RECOVERED, len(bounds) >> 1
-        ) + _bounds_struct(len(bounds)).pack(*bounds)
+    if kind is AckFrame or kind is RecoveredFrame:
+        return frame.encoded or frame.encode()
     if kind is HandshakeFrame:
         return _HANDSHAKE.pack(FRAME_HANDSHAKE, frame.round)
     if kind is FecFrame:
@@ -131,16 +205,24 @@ def encode_frame(frame: Frame) -> bytes:
     raise TypeError(f"cannot encode {kind.__name__}")
 
 
-def _parse_bounds(buf: bytes, offset: int, count: int) -> tuple[tuple, int]:
-    """``count`` ranges at ``offset``: (flat bounds, offset past them)."""
-    end = offset + 16 * count
+def _parse_range_list(kind, buf: bytes, offset: int) -> tuple[_RangeList, int]:
+    """The range-list frame at ``offset``, and the offset past it."""
+    if len(buf) - offset < _RANGE_HEADER.size:
+        raise MalformedFrame("truncated range list")
+    _, top, count, width = _RANGE_HEADER.unpack_from(buf, offset)
+    if width not in _WIDTH_CODE:
+        raise MalformedFrame(f"range list of {width}-byte values")
+    if not count:
+        raise MalformedFrame("range list with no range")
+    offset += _RANGE_HEADER.size
+    end = offset + (2 * count - 1) * width
     if len(buf) < end:
         raise MalformedFrame("truncated range list")
-    bounds = _bounds_struct(2 * count).unpack_from(buf, offset)
-    if not all(map(le, bounds[::2], bounds[1::2])):
-        lo, hi = next((lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2]) if hi < lo)
-        raise MalformedFrame(f"inverted range ({lo}, {hi})")
-    return bounds, end
+    steps = _steps_struct(width, 2 * count - 1).unpack_from(buf, offset)
+    # each range lies below the one before, so the oldest lo is the lowest
+    if sum(steps) + 2 * (count - 1) > top:
+        raise MalformedFrame(f"range list below 0 under top {top}")
+    return kind(top, steps), end
 
 
 def parse_frames(buf: bytes, offset: int = 0) -> list[Frame]:
@@ -161,17 +243,11 @@ def parse_frames(buf: bytes, offset: int = 0) -> list[Frame]:
             )
             offset += length
         elif ftype == FRAME_ACK:
-            if size - offset < _ACK_HEADER.size:
-                raise MalformedFrame("truncated ack frame")
-            _, largest, delay, count = _ACK_HEADER.unpack_from(buf, offset)
-            bounds, offset = _parse_bounds(buf, offset + _ACK_HEADER.size, count)
-            frames.append(AckFrame(largest, delay, bounds))
+            frame, offset = _parse_range_list(AckFrame, buf, offset)
+            frames.append(frame)
         elif ftype == FRAME_RECOVERED:
-            if size - offset < _RECOVERED_HEADER.size:
-                raise MalformedFrame("truncated recovered frame")
-            _, count = _RECOVERED_HEADER.unpack_from(buf, offset)
-            bounds, offset = _parse_bounds(buf, offset + _RECOVERED_HEADER.size, count)
-            frames.append(RecoveredFrame(bounds))
+            frame, offset = _parse_range_list(RecoveredFrame, buf, offset)
+            frames.append(frame)
         elif ftype == FRAME_HANDSHAKE:
             if size - offset < _HANDSHAKE.size:
                 raise MalformedFrame("truncated handshake frame")

@@ -371,6 +371,7 @@ class SenderFec:
 
 @dataclass
 class _PartialRepair:
+    repair_id: int
     chunks: dict[int, bytes] = field(default_factory=dict)
     fin_offset: Optional[int] = None
     nss: int = 0
@@ -396,7 +397,9 @@ class ReceiverFec:
     blocks behind; convolutional state eviction is delegated to
     :class:`~fecsim.schemes.RlcDecoder`.  A repair symbol split over
     several frames is buffered until its last chunk arrives, and dropped
-    with its block or once its window falls out of the RLC decoder.
+    with its block or once its window falls out of the RLC decoder.  A
+    block code buffers at most one such symbol per (block, index): a
+    second repair id there raises :class:`MalformedFrame`.
     """
 
     BLOCK_BACKLOG = 64
@@ -406,6 +409,7 @@ class ReceiverFec:
             raise UnknownScheme(f"scheme 0x{scheme:02x}")
         self.scheme = scheme
         self.symbol_size = symbol_size
+        # partial repairs by repair id (RLC) or by its (block, index) half
         self._reassembly: dict[int, _PartialRepair] = {}
         self._received: set[int] = set()
         self._recovered: set[int] = set()
@@ -488,13 +492,20 @@ class ReceiverFec:
     def _assemble(self, frame: FecFrame) -> Optional[np.ndarray]:
         """The repair symbol ``frame`` completes, or None while chunks of it
         are missing.  A whole symbol in one frame is never buffered."""
-        part = self._reassembly.get(frame.repair_id)
+        repair_id = frame.repair_id
+        key = repair_id if self._rlc is not None else repair_id >> 32
+        part = self._reassembly.get(key)
         if part is None and frame.fin and not frame.chunk_offset:
             payload = frame.payload
         else:
             if part is None:
-                part = _PartialRepair(nss=frame.nss, nrs=frame.nrs)
-                self._reassembly[frame.repair_id] = part
+                part = _PartialRepair(repair_id, nss=frame.nss, nrs=frame.nrs)
+                self._reassembly[key] = part
+            elif part.repair_id != repair_id:
+                raise MalformedFrame(
+                    f"repair ids {part.repair_id:#x} and {repair_id:#x} "
+                    "at one block and index"
+                )
             elif (part.nss, part.nrs) != (frame.nss, frame.nrs):
                 raise MalformedFrame("chunks of one repair announce different codes")
             chunks = part.chunks
@@ -511,7 +522,7 @@ class ReceiverFec:
             if len(chunks) != fin + 1:
                 return None
             payload = b"".join(chunks[i] for i in range(fin + 1))
-            del self._reassembly[frame.repair_id]
+            del self._reassembly[key]
         if len(payload) != self.symbol_size:
             raise MalformedFrame(
                 f"{len(payload)}-byte repair symbol, expected {self.symbol_size}"
@@ -529,9 +540,9 @@ class ReceiverFec:
             stale = [r for r in self._reassembly if r >> 32 < horizon]
         else:
             blocks = self._blocks
-            stale = [r for r in self._reassembly if blocks.get(r >> 40) is None]
-        for repair_id in stale:
-            del self._reassembly[repair_id]
+            stale = [k for k in self._reassembly if blocks.get(k >> 8) is None]
+        for key in stale:
+            del self._reassembly[key]
 
     def _block(self, block_no: int) -> Optional[_BlockState]:
         """The state of ``block_no``, made on first use; None once the block

@@ -32,28 +32,30 @@ its frames again and signals congestion; the peer reports it recovered,
 which signals congestion but resends nothing; or the probe abandons it
 when nothing worth probing is left.
 
-Packet-number ranges stay flat inclusive bounds ``(lo0, hi0, lo1, hi1,
-...)`` from the receiver's :class:`RangeSet` through the ACK frame to
-:func:`acked_in_flight`; nothing builds (lo, hi) pairs on the way.
-:mod:`fecsim.frames` rejects a range with ``hi < lo`` as
-``MalformedFrame``.  ``Connection._on_ack_frame`` raises
-:class:`ProtocolViolation` for an ACK with no range, with ranges out of
-order or overlapping, with a largest acknowledged other than the top of
-its newest range (RFC 9000 section 19.3), or naming an unsent packet.
+The receiver keeps the packet numbers it received in a :class:`RangeSet`
+and acknowledges the newest :data:`ACK_RANGE_CAP` ranges in the range-list
+layout of :mod:`fecsim.frames` (RFC 9000 section 19.3).  The set keeps the
+encoded values of all but the newest range, so an ACK after an in-order
+packet packs only its header and the newest length.  The sender walks an
+ACK newest first and stops below its oldest packet in flight
+(:func:`acked_in_flight`).  That layout cannot express ranges out of order,
+overlapping or touching, nor a largest acknowledged above its ranges; an
+ACK or Recovered frame that names an unsent packet raises
+:class:`ProtocolViolation`.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import takewhile
-from operator import lt
 from typing import Callable, Optional
 
 from . import framework
 from .frames import (
+    FRAME_ACK,
     AckFrame,
     HandshakeFrame,
     MAX_PACKET_SIZE,
@@ -64,7 +66,11 @@ from .frames import (
     STREAM_FRAME_OVERHEAD,
     StreamFrame,
     encode_packet,
+    pack_steps,
     parse_packet,
+    range_list_head,
+    range_steps,
+    step_width,
 )
 from .framework import FecFrame, ReceiverFec, SenderFec
 from .schemes import (
@@ -112,9 +118,8 @@ RECOVERED_STRATEGIES = (
 
 class ProtocolViolation(Exception):
     """The peer sent something the protocol forbids: references to packets
-    this endpoint never sent, ACK ranges that are missing or not ascending
-    and disjoint, a largest acknowledged that does not top the ACK's
-    ranges, a malformed request or corrupted stream bytes."""
+    this endpoint never sent, a malformed request or corrupted stream
+    bytes."""
 
 
 # Whole periods of the response pattern, at least one more than a packet holds.
@@ -182,10 +187,17 @@ class ConnectionConfig:
 
 class RangeSet:
     """Sorted, disjoint, inclusive integer ranges, held as the flat
-    ascending bounds ``[lo0, hi0, lo1, hi1, ...]`` an ACK frame carries."""
+    ascending bounds ``[lo0, hi0, lo1, hi1, ...]``.
+
+    For :meth:`ack_frame` the set keeps the values of every range but the
+    newest, packed at the last width used.  Only the next packet in order
+    leaves them as they are; any other change drops them."""
 
     def __init__(self) -> None:
         self.bounds: list[int] = []
+        self._older: Optional[tuple[tuple[int, ...], int]] = None  # values, max
+        self._packed_width = 0
+        self._packed = b""
 
     def add(self, value: int) -> bool:
         """Add ``value``; returns whether it was not already covered."""
@@ -196,6 +208,7 @@ class RangeSet:
         i = bisect_right(b, value)
         if i & 1 or i and b[i - 1] == value:
             return False  # inside a range, or its top
+        self._older = None
         if i and b[i - 1] == value - 1:
             if i < len(b) and b[i] == value + 1:
                 del b[i - 1 : i + 1]  # closes the gap between two ranges
@@ -224,12 +237,31 @@ class RangeSet:
         excess = len(self.bounds) - 2 * max_ranges
         if excess > 0:
             del self.bounds[1 : 1 + excess]
+            self._older = None
 
     @property
     def largest(self) -> int:
         if not self.bounds:
             raise ValueError("empty range set")
         return self.bounds[-1]
+
+    def ack_frame(self, max_ranges: int) -> AckFrame:
+        """The encoded ACK of the newest ``max_ranges`` ranges."""
+        b = self.bounds
+        top = b[-1]
+        first = top - b[-2]
+        if self._older is None:
+            older = range_steps(b[-2 * max_ranges :])[1:]
+            self._older = older, max(older, default=0)
+            self._packed_width = 0
+        older, older_max = self._older
+        width = step_width(max(first, older_max))
+        if width != self._packed_width:
+            self._packed = pack_steps(width, older)
+            self._packed_width = width
+        count = (len(older) >> 1) + 1
+        head = range_list_head(FRAME_ACK, top, count, width, first)
+        return AckFrame(top, (first, *older), head + self._packed)
 
 
 class RttEstimator:
@@ -598,20 +630,10 @@ class Connection:
     # -- acknowledgements and loss ---------------------------------------------
 
     def _on_ack_frame(self, ack: AckFrame, now: int) -> None:
-        bounds = ack.bounds
-        largest = ack.largest_acked
-        # each hi below the next lo (frames checked lo <= hi within a range)
-        if not all(map(lt, bounds[1:-1:2], bounds[2::2])):
-            raise ProtocolViolation(
-                f"ack ranges {ack.ranges} are not ascending and disjoint"
-            )
-        if not bounds or bounds[-1] != largest:
-            raise ProtocolViolation(
-                f"largest acked {largest} does not top the ack ranges {ack.ranges}"
-            )
+        largest = ack.largest
         if largest >= self._next_pn:
             raise ProtocolViolation(f"peer acked unsent packet {largest}")
-        newly = acked_in_flight(self._sent, bounds)
+        newly = acked_in_flight(self._sent, ack)
         if newly:
             largest_new = newly[-1]
             if largest_new == largest:
@@ -634,11 +656,10 @@ class Connection:
         self._check_time_losses(now)
 
     def _on_recovered_frame(self, frame: RecoveredFrame, now: int) -> None:
+        if frame.largest >= self._next_pn:
+            raise ProtocolViolation(f"peer recovered unsent packet {frame.largest}")
         listed = set()
-        bounds = iter(frame.bounds)
-        for lo, hi in zip(bounds, bounds):
-            if hi >= self._next_pn:
-                raise ProtocolViolation(f"peer recovered unsent packet {hi}")
+        for lo, hi in frame.newest_first():
             listed.update(range(lo, hi + 1))
         # the peer has the data: drop any retransmission still queued for
         # these packets, even if they were already declared lost
@@ -772,7 +793,7 @@ class Connection:
                 # the repair before the acknowledgement of those packets;
                 # the pns repeat until a packet carrying them is acked
                 carried = frozenset(self._recovered_pending)
-                frames.append(RecoveredFrame(_bounds_of(sorted(carried))))
+                frames.append(RecoveredFrame.of(_bounds_of(sorted(carried))))
             frames.append(self._ack_frame())
             self._ack_queued = False
             pkt = self._build(now, frames, "feedback")
@@ -817,8 +838,7 @@ class Connection:
         # every subsequent ack.  Keep the newest ranges only.
         received = self._received_pns
         received.prune(2 * ACK_RANGE_CAP)
-        bounds = tuple(received.bounds[-2 * ACK_RANGE_CAP :])
-        return AckFrame(bounds[-1], 0, bounds)
+        return received.ack_frame(ACK_RANGE_CAP)
 
     def _queue_repair_frames(self) -> None:
         if self._sender_fec is None:
@@ -869,14 +889,12 @@ class Connection:
         return OutPacket(data, pn, kind)
 
 
-def acked_in_flight(sent: dict[int, SentRecord], bounds) -> list[int]:
-    """The packet numbers in ``sent`` that the ascending, disjoint ACK
-    ranges cover, in ascending order; ``bounds`` holds the ranges as flat
-    inclusive bounds ``(lo0, hi0, lo1, hi1, ...)``.
+def acked_in_flight(sent: dict[int, SentRecord], ack: AckFrame) -> list[int]:
+    """The packet numbers in ``sent`` that ``ack`` covers, ascending.
 
     ``sent`` is keyed in send order, so its first and last keys bound the
-    flight.  The walk starts at the range that holds or follows the oldest
-    packet in flight, found by bisection, and stops past the newest.  Each
+    flight.  The walk takes the ranges newest first, skips those above the
+    newest packet in flight and stops at the first below the oldest.  Each
     range is clipped to the flight and probed once per packet number,
     unless it is still wider than the flight (an old range merged by
     :meth:`RangeSet.prune`); then the flight is filtered instead.  The
@@ -887,24 +905,21 @@ def acked_in_flight(sent: dict[int, SentRecord], bounds) -> list[int]:
     first = next(iter(sent))
     last = next(reversed(sent))
     flight = len(sent)
-    out: list[int] = []
-    # an odd insertion point lies inside a range: start at its lo
-    rest = iter(bounds[bisect_left(bounds, first) & ~1 :])
-    for lo, hi in zip(rest, rest):
-        if lo > last:
+    out: list[int] = []  # descending until the end
+    for lo, hi in ack.newest_first():
+        if hi < first:
             break
+        if lo > last:
+            continue
         if lo < first:
             lo = first
         if hi > last:
             hi = last
         if hi - lo < flight:
-            out.extend(filter(sent.__contains__, range(lo, hi + 1)))
+            out.extend(filter(sent.__contains__, range(hi, lo - 1, -1)))
         else:
-            for pn in sent:
-                if pn > hi:
-                    break
-                if pn >= lo:
-                    out.append(pn)
+            out.extend(reversed([pn for pn in takewhile(hi.__ge__, sent) if pn >= lo]))
+    out.reverse()
     return out
 
 

@@ -40,3 +40,20 @@ def test_traced_codec_round_installs_every_span(tmp_path):
     assert tracer.calls["framework.on_fec_frame"] > 0
     # installed, though a codec round never runs the emulator
     assert tracer.calls["netem.run"] == 0
+
+
+def test_traced_transfer_counts_acks_and_their_ranges():
+    """One small traced download (da2gc, 10 kB, rlc): the wrapped
+    ``transport.parse_packet`` and ``transport.encode_packet`` run, and
+    ``count_acks`` reads every parsed ACK's ranges."""
+    fx = layer_modules()
+    tracer = layertrace.Tracer()
+    with layertrace.instrument(fx, tracer):
+        result = fx.experiments.run_transfer(
+            fx.experiments.preset("da2gc"), fx.experiments.VARIANTS["rlc"], 10_000, seed=1
+        )
+    assert result.completed
+    assert tracer.calls["frames.encode_packet"] > 0
+    assert tracer.calls["frames.parse_packet"] > 0
+    assert tracer.counts["ack_frames"] > 0
+    assert tracer.counts["ack_ranges"] >= tracer.counts["ack_frames"]

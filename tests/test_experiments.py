@@ -2,6 +2,7 @@
 ratio comparison, fairness plumbing, and the command-line front end."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import re
@@ -147,6 +148,33 @@ def test_run_matrix_records_failed_cells_instead_of_raising():
     assert len(records) == 1
     assert records[0].dct_us is None
     assert records[0].wire_bytes == 0
+    assert records[0].failure == "runaway"
+
+
+def test_run_matrix_records_an_incomplete_repetition(monkeypatch, tmp_path):
+    """A repetition that goes idle with the download unfinished (no DCT)
+    leaves the cell's median empty, as a runaway does, but is told apart
+    from one; the other cells keep their medians."""
+    real = xp.run_transfer
+
+    def stub(scenario, fec, size_bytes, seed, *args, **kwargs):
+        result = real(scenario, fec, size_bytes, seed, *args, **kwargs)
+        if fec is not None and seed == xp.derive_seed(xp.derive_seed(0, 0, 0), 1):
+            return dataclasses.replace(result, completed=False, dct_us=None)
+        return result
+
+    monkeypatch.setattr(xp, "run_transfer", stub)
+    records = xp.run_matrix(
+        [FAST_LOSSY], {"baseline": None, "rlc": FecConfig.rlc(3, 2, 4)},
+        {"1k": 1_000}, reps=3, base_seed=0,
+    )
+    base, rlc = records
+    assert base.dct_us is not None and base.failure == ""
+    assert (rlc.dct_us, rlc.wire_bytes, rlc.failure) == (None, 0, "incomplete")
+    assert len(rlc.rep_dcts_us) == 2  # the repetitions that completed
+    path = tmp_path / "incomplete.csv"
+    xp.write_run_csv(records, str(path))
+    assert xp.read_run_csv(str(path)) == records
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +517,8 @@ def test_harness_output_bytes_are_pinned(monkeypatch, tmp_path):
         "compare_csv": sha(ratios),
         "fairness_csv": sha(fairness),
     } == {
-        "run_csv": "ffcd63006cf7a7e19485067f326d2c3faecf9006a9d43728cc6aa97ebbc87f37",
-        "run_json": "344380c1b9d4e5f2d6c592c201829dcf82755364e19a2af8c384fc16760a0991",
-        "compare_csv": "16e6e5dee45f964ba120e44897e5de0fd44ed40fbd5eac196725983ecbffe707",
-        "fairness_csv": "ee41b4614730e7e15c181b99383061781ea12abd5ce701df43163fb469df8842",
+        "run_csv": "56da3617bb111233b7acef3b183989e383c6e9ff655cc648c5be75bf87d31b5a",
+        "run_json": "9b7ab4819c8c274c91d9303fc0775695fd78b57a3eca3647d86a7cccac9b96ed",
+        "compare_csv": "7b5947ef48f97a132afc8ca09a016aaadfd49a4094278713b2efe3016556b59c",
+        "fairness_csv": "bc3816f7a29c0df601a60039eb55e31ae4f832a3bc00afda06b47b1e8ee67fcc",
     }

@@ -438,6 +438,26 @@ def test_receiver_rejects_a_chunk_past_the_final_chunk():
         receiver.on_fec_frame(FecFrame(True, 1, repair_id, 2, 1, b"b"))
 
 
+def test_receiver_holds_one_partial_repair_per_block_and_index():
+    """10,000 first chunks of block 0, index 0, each with another
+    scheme-specific half of the repair id: only the first is buffered, and
+    every later one is the peer's fault."""
+    receiver = ReceiverFec(SCHEME_REED_SOLOMON, SYMBOL)
+    chunk = bytes(1_175)  # a full repair frame's payload
+    refused = 0
+    for lo in range(10_000):
+        frame = FecFrame(False, 0, block_repair_id(0, 0, lo), 20, 10, chunk)
+        try:
+            assert receiver.on_fec_frame(frame) == []
+        except MalformedFrame:
+            refused += 1
+    assert refused == 9_999
+    assert len(receiver._reassembly) == 1
+    # the first repair id still completes
+    (part,) = receiver._reassembly.values()
+    assert part.repair_id == block_repair_id(0, 0, 0)
+
+
 @pytest.mark.parametrize(
     "scheme", [SCHEME_XOR, SCHEME_REED_SOLOMON, SCHEME_RLC], ids=["xor", "rs", "rlc"]
 )
@@ -618,10 +638,12 @@ def test_receiver_reports_only_committed_packets(
                 repaired_blocks.add(block)
             assert len(receiver._blocks) <= PROPERTY_BACKLOG
             assert len(receiver._reassembly) <= PROPERTY_BACKLOG * params.repairs
-            assert all(receiver._blocks.get(r >> 40) for r in receiver._reassembly)
+            assert all(
+                receiver._blocks.get(p.repair_id >> 40) for p in receiver._reassembly.values()
+            )
         else:
             horizon = receiver._rlc.horizon
-            assert all(r >> 32 >= horizon for r in receiver._reassembly)
+            assert all(p.repair_id >> 32 >= horizon for p in receiver._reassembly.values())
 
 
 # ---------------------------------------------------------------------------

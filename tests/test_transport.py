@@ -19,6 +19,7 @@ from fecsim.frames import (
     RecoveredFrame,
     StreamFrame,
     encode_packet,
+    parse_frames,
     parse_packet,
 )
 from fecsim.transport import (
@@ -122,14 +123,27 @@ ADD = st.tuples(st.just("add"), st.integers(0, 160))
         ),
         min_size=50,
         max_size=300,
-    )
+    ),
+    st.lists(st.integers(0, 170), unique=True).map(sorted),
 )
 # 80 single-packet ranges: the ACK prunes to 64 and carries the newest 32
-@example([("add", v) for v in range(0, 160, 2)] + [("ack", 0)])
-def test_rangeset_and_ack_bounds_match_set_model(ops):
+@example([("add", v) for v in range(0, 160, 2)] + [("ack", 0)], [1, 40, 158])
+# the newest range grows past 255 between ACKs: the older values widen
+@example(
+    [("add", 0), ("add", 2), ("ack", 0)]
+    + [("add", v) for v in range(3, 400)]
+    + [("ack", 0)],
+    [0, 1, 2, 399],
+)
+def test_rangeset_and_ack_bounds_match_set_model(ops, flight):
+    """Every ACK parses back to the newest 32 ranges of the set after
+    pruning it to 64 (the bounds an ACK listed as u64 pairs before the
+    range-list layout), its kept bytes equal a fresh encoding, and the
+    newest-first walk acks what a brute force over those ranges acks."""
     conn = Connection("client", ConnectionConfig(), request_size=1)
     rs = conn._received_pns
     model = set()
+    sent = dict.fromkeys(flight)
     for op, v in ops:
         if op == "add":
             assert rs.add(v) == (v not in model)
@@ -141,8 +155,14 @@ def test_rangeset_and_ack_bounds_match_set_model(ops):
             ack = conn._ack_frame()
             _model_prune(model, 2 * ACK_RANGE_CAP)
             newest = _model_ranges(model)[-ACK_RANGE_CAP:]
-            assert ack.bounds == _flat(newest)
-            assert ack.largest_acked == ack.bounds[-1] == max(model)
+            (parsed,) = parse_frames(ack.encoded)
+            assert parsed == ack
+            assert parsed.bounds == _flat(newest) == tuple(rs.bounds[-2 * ACK_RANGE_CAP :])
+            assert parsed.largest == max(model)
+            assert ack.encoded == AckFrame(ack.largest, ack.steps).encode()
+            assert acked_in_flight(sent, parsed) == [
+                pn for pn in sent if any(lo <= pn <= hi for lo, hi in newest)
+            ]
         assert rs.bounds == list(_flat(_model_ranges(model)))
         assert len(rs) == len(_model_ranges(model))
         for probe in (v - 1, v, v + 1):
@@ -403,11 +423,11 @@ def test_reorder_threshold_needs_three_packets_above():
     s = [p.packet_number for p in stream]
     offs = stream_offsets(stream)
     # hole at s[2]: packets up to 2 above it are acked, not enough
-    deliver(srv, Packet(3, [AckFrame(s[4], 0, (1, s[1], s[3], s[4]))]), 100_000)
+    deliver(srv, Packet(3, [AckFrame.of((1, s[1], s[3], s[4]))]), 100_000)
     assert srv.stats.lost_packets == 0
     # one more packet above: the hole crosses the reorder threshold
     assert s[5] - s[2] == PACKET_REORDER_THRESHOLD
-    deliver(srv, Packet(4, [AckFrame(s[5], 0, (1, s[1], s[3], s[5]))]), 100_200)
+    deliver(srv, Packet(4, [AckFrame.of((1, s[1], s[3], s[5]))]), 100_200)
     assert srv.stats.lost_packets == 1
     assert ("lost", s[2], "reorder_threshold") in srv.traces
     # the lost data is retransmitted
@@ -421,7 +441,7 @@ def test_hole_time_threshold_declares_loss():
     s = [p.packet_number for p in stream]
     # srtt becomes 200ms; the hole at s[2] is 2 packets deep (below the
     # reorder threshold) so only the time threshold can fire
-    deliver(srv, Packet(3, [AckFrame(s[4], 0, (1, s[1], s[3], s[4]))]), 200_000)
+    deliver(srv, Packet(3, [AckFrame.of((1, s[1], s[3], s[4]))]), 200_000)
     assert srv.rtt.srtt_us == 200_000
     assert srv.stats.lost_packets == 0
     hole_deadline = 200_000 + 200_000 // 8
@@ -449,47 +469,29 @@ def test_tail_loss_probe_fires_after_two_srtt():
 def test_ack_of_unsent_packet_is_protocol_violation():
     srv, _ = make_server()
     with pytest.raises(ProtocolViolation):
-        deliver(srv, Packet(3, [AckFrame(9999, 0, (9999, 9999))]), 1000)
+        deliver(srv, Packet(3, [AckFrame.of((9999, 9999))]), 1000)
 
 
-@pytest.mark.parametrize(
-    "shape",
-    [
-        "descending",
-        "overlapping",
-        "shared_endpoint",
-        "reaches_unsent",
-        "largest_above_ranges",
-        "no_ranges",
-    ],
-)
+# Out-of-order, overlapping and touching ranges, and a largest acknowledged
+# above the ranges, cannot be written in the range-list layout; ACKs with
+# no range are rejected by the parser (tests/test_frames.py).
+@pytest.mark.parametrize("shape", ["reaches_unsent"])
 def test_malformed_ack_ranges_are_protocol_violation(shape):
     srv, stream = make_server()
-    s = [p.packet_number for p in stream]
-    largest, bounds = {
-        "descending": (s[4], (s[3], s[4], s[0], s[1])),
-        "overlapping": (s[4], (1, s[2], s[1], s[4])),
-        "shared_endpoint": (s[4], (1, s[2], s[2], s[4])),
-        # largest_acked is plausible, but the range claims unsent packets
-        "reaches_unsent": (s[4], (1, 9999)),
-        # RFC 9000 section 19.3: the largest acknowledged tops the newest
-        # range; accepted, this would declare s[2] lost and open holes at
-        # s[3] and s[4] although nothing above s[1] was acknowledged
-        "largest_above_ranges": (s[5], (1, s[1])),
-        "no_ranges": (s[4], ()),
-    }[shape]
+    bounds = {"reaches_unsent": (1, 9999)}[shape]
     flight = srv.bytes_in_flight
     with pytest.raises(ProtocolViolation):
-        deliver(srv, Packet(3, [AckFrame(largest, 0, bounds)]), 1000)
+        deliver(srv, Packet(3, [AckFrame.of(bounds)]), 1000)
     assert srv.bytes_in_flight == flight and srv.stats.lost_packets == 0
     assert srv.next_timer_us() == 2 * srv.rtt.srtt_us  # no hole opened
 
 
 def _ascending_ranges(draws):
-    """(gap, width) pairs -> ascending, disjoint inclusive ranges."""
-    ranges, hi = [], -1
+    """(gap, width) pairs -> canonical ranges: ascending inclusive ranges
+    with at least one value between neighbours, the first at or above 0."""
+    ranges, hi = [], -2
     for gap, width in draws:
-        lo = hi + 1 + gap
+        lo = hi + 2 + gap
         hi = lo + width
         ranges.append((lo, hi))
     return ranges
@@ -503,20 +505,23 @@ def _flat(ranges):
 @given(
     st.lists(st.integers(0, 1000), unique=True).map(sorted),
     st.lists(
-        st.tuples(st.integers(0, 40), st.integers(0, 400)), max_size=ACK_RANGE_CAP
+        st.tuples(st.integers(0, 40), st.integers(0, 400)),
+        min_size=1,
+        max_size=ACK_RANGE_CAP,
     ).map(_ascending_ranges).map(_flat),
 )
 @example([5, 6, 9, 200], (0, 3))  # entirely below the oldest packet
 @example([5, 6, 9, 200], (1, 500))  # one merged range, wider than the flight
-@example([5, 6, 9, 200], (0, 5, 7, 8, 9, 9, 10, 199))
+@example([5, 6, 9, 200], (0, 5, 7, 8, 10, 10, 12, 199))
 # several ranges wholly below the flight, then one wider than it
-@example([50, 51, 60, 200], (0, 3, 5, 10, 20, 49, 51, 60, 61, 300))
+@example([50, 51, 60, 200], (0, 3, 5, 10, 20, 49, 51, 60, 62, 300))
 @example([50, 51, 60, 200], (0, 3, 40, 55, 70, 80))  # the oldest inside a range
+@example([50, 51, 60, 200], (201, 300))  # entirely above the newest packet
 def test_acked_in_flight_matches_brute_force(flight, bounds):
     sent = dict.fromkeys(flight)
     ranges = list(zip(bounds[::2], bounds[1::2]))
     expected = [pn for pn in sent if any(lo <= pn <= hi for lo, hi in ranges)]
-    assert acked_in_flight(sent, bounds) == expected
+    assert acked_in_flight(sent, AckFrame.of(bounds)) == expected
 
 
 def test_merged_ack_range_wider_than_flight_acks_everything():
@@ -528,7 +533,7 @@ def test_merged_ack_range_wider_than_flight_acks_everything():
     in_flight = 1 + sum(p.kind == "stream" for p in out)
     newest = out[-1].packet_number
     assert newest > in_flight  # the range spans the ack-only packets too
-    deliver(srv, Packet(3, [AckFrame(newest, 0, (1, newest))]), 250_000)
+    deliver(srv, Packet(3, [AckFrame.of((1, newest))]), 250_000)
     assert srv.bytes_in_flight == 0
     assert srv.stats.lost_packets == 0
     # the sample comes from the newest packet (sent at 50 ms), not the
@@ -615,7 +620,7 @@ def test_hole_timer_and_losses_match_brute_force(acks):
             check()
         now += gap
         largest = ranges[-1][1]
-        deliver(srv, Packet(i + 1, [AckFrame(largest, 0, _flat(ranges))]), now)
+        deliver(srv, Packet(i + 1, [AckFrame.of(_flat(ranges))]), now)
         newly = sorted(pn for pn in outstanding if any(lo <= pn <= hi for lo, hi in ranges))
         if newly:
             if newly[-1] == largest:
@@ -634,7 +639,7 @@ def test_hole_timer_and_losses_match_brute_force(acks):
 def test_recovered_for_unsent_packet_is_protocol_violation():
     srv, _ = make_server()
     with pytest.raises(ProtocolViolation):
-        deliver(srv, Packet(3, [RecoveredFrame((9999, 9999))]), 1000)
+        deliver(srv, Packet(3, [RecoveredFrame.of((9999, 9999))]), 1000)
 
 
 def test_recovered_packet_reduces_cwnd_and_skips_retransmission():
@@ -643,13 +648,13 @@ def test_recovered_packet_reduces_cwnd_and_skips_retransmission():
     offs = stream_offsets(stream)
     cwnd_before = srv.cwnd
     flight_before = srv.bytes_in_flight
-    deliver(srv, Packet(3, [RecoveredFrame((s[0], s[0]))]), 50_000)
+    deliver(srv, Packet(3, [RecoveredFrame.of((s[0], s[0]))]), 50_000)
     assert srv.stats.peer_recovered_packets == 1
     assert srv.stats.cwnd_reductions == 1
     assert srv.cwnd == cwnd_before / 2
     assert srv.bytes_in_flight == flight_before - len(stream[0].data)
     # acks that would normally expose the hole do not relitigate the loss
-    deliver(srv, Packet(4, [AckFrame(s[5], 0, (1, s[5]))]), 100_000)
+    deliver(srv, Packet(4, [AckFrame.of((1, s[5]))]), 100_000)
     assert srv.stats.lost_packets == 0
     # and the recovered data is never sent again
     assert offs[s[0]] not in flushed_stream_offsets(srv, 100_100)
@@ -659,8 +664,8 @@ def test_recovered_packet_reduces_cwnd_and_skips_retransmission():
 def test_recovered_for_acked_packet_is_ignored():
     srv, stream = make_server()
     s = [p.packet_number for p in stream]
-    deliver(srv, Packet(3, [AckFrame(s[1], 0, (1, s[1]))]), 50_000)
-    deliver(srv, Packet(4, [RecoveredFrame((s[0], s[0]))]), 51_000)
+    deliver(srv, Packet(3, [AckFrame.of((1, s[1]))]), 50_000)
+    deliver(srv, Packet(4, [RecoveredFrame.of((s[0], s[0]))]), 51_000)
     assert srv.stats.peer_recovered_packets == 0
     assert srv.stats.cwnd_reductions == 0
 
@@ -668,8 +673,8 @@ def test_recovered_for_acked_packet_is_ignored():
 def test_duplicate_recovered_reports_single_signal():
     srv, stream = make_server()
     s = [p.packet_number for p in stream]
-    deliver(srv, Packet(3, [RecoveredFrame((s[1], s[1]))]), 50_000)
-    deliver(srv, Packet(4, [RecoveredFrame((s[1], s[1]))]), 52_000)
+    deliver(srv, Packet(3, [RecoveredFrame.of((s[1], s[1]))]), 50_000)
+    deliver(srv, Packet(4, [RecoveredFrame.of((s[1], s[1]))]), 52_000)
     assert srv.stats.peer_recovered_packets == 1
     assert srv.stats.cwnd_reductions == 1
 
@@ -677,7 +682,7 @@ def test_duplicate_recovered_reports_single_signal():
 def test_recovered_range_collapses_to_one_reduction_per_round():
     srv, stream = make_server()
     s = [p.packet_number for p in stream]
-    deliver(srv, Packet(3, [RecoveredFrame((s[2], s[4]))]), 50_000)
+    deliver(srv, Packet(3, [RecoveredFrame.of((s[2], s[4]))]), 50_000)
     assert srv.stats.peer_recovered_packets == 3
     assert srv.stats.cwnd_reductions == 1  # same flight, one round
 
@@ -687,10 +692,10 @@ def test_late_recovered_purges_queued_retransmission():
     s = [p.packet_number for p in stream]
     offs = stream_offsets(stream)
     # the hole at s[2] crosses the reorder threshold: queued for resend
-    deliver(srv, Packet(3, [AckFrame(s[5], 0, (1, s[1], s[3], s[5]))]), 100_000)
+    deliver(srv, Packet(3, [AckFrame.of((1, s[1], s[3], s[5]))]), 100_000)
     assert srv.stats.lost_packets == 1
     # before the sender flushes, the peer reports it repaired the packet
-    deliver(srv, Packet(4, [RecoveredFrame((s[2], s[2]))]), 100_050)
+    deliver(srv, Packet(4, [RecoveredFrame.of((s[2], s[2]))]), 100_050)
     sent = flushed_stream_offsets(srv, 100_100)
     assert offs[s[2]] not in sent
     assert srv.stats.retransmitted_packets == 0
@@ -725,9 +730,9 @@ def test_ack_ranges_are_sorted_disjoint_and_capped():
         assert ack.ranges == sorted(ack.ranges)
         for (lo1, hi1), (lo2, _) in zip(ack.ranges, ack.ranges[1:]):
             assert lo1 <= hi1 and hi1 + 1 < lo2  # disjoint, non-adjacent
-        assert ack.largest_acked == ack.ranges[-1][1] == pn
-        assert ack.largest_acked > largest_seen  # monotone growth
-        largest_seen = ack.largest_acked
+        assert ack.largest == ack.ranges[-1][1] == pn
+        assert ack.largest > largest_seen  # monotone growth
+        largest_seen = ack.largest
 
 
 def test_flight_never_exceeds_cwnd_at_send_time():
@@ -735,7 +740,7 @@ def test_flight_never_exceeds_cwnd_at_send_time():
     s = [p.packet_number for p in stream]
     now = 100_000
     for round_ in range(20):
-        deliver(srv, Packet(3 + round_, [AckFrame(s[-1], 0, (1, s[-1]))]), now)
+        deliver(srv, Packet(3 + round_, [AckFrame.of((1, s[-1]))]), now)
         out = srv.flush(now)
         assert srv.bytes_in_flight <= srv.cwnd
         s = [p.packet_number for p in out if p.kind == "stream"]
@@ -781,7 +786,7 @@ def test_silent_ack_strategy_recovers_without_signal():
     frames = [f for p in out for f in parse_packet(p.data).frames]
     assert not any(isinstance(f, RecoveredFrame) for f in frames)
     acks = [f for f in frames if isinstance(f, AckFrame)]
-    assert acks and dropped.packet_number <= acks[0].largest_acked
+    assert acks and dropped.packet_number <= acks[0].largest
 
 
 def test_recovered_frame_strategy_emits_signal_before_ack():
@@ -799,7 +804,7 @@ def test_recovered_frame_strategy_emits_signal_before_ack():
     assert isinstance(frames[1], AckFrame)
     assert frames[0].ranges == [(dropped.packet_number,) * 2]
     # the recovered packet is also acknowledged
-    lo, hi = frames[1].ranges[-1][0], frames[1].largest_acked
+    lo, hi = frames[1].ranges[-1][0], frames[1].largest
     assert lo <= dropped.packet_number <= hi
 
 
@@ -853,7 +858,7 @@ def test_recovered_reports_repeat_until_a_carrier_is_acked():
     assert probe.kind == "probe" and probe.packet_number > carriers[-1]
     ack_at = probe_at + 100_000
     bounds = (1, carriers[0] - 1, probe.packet_number, probe.packet_number)
-    deliver(cli, Packet(2000, [AckFrame(probe.packet_number, 0, bounds)]), ack_at)
+    deliver(cli, Packet(2000, [AckFrame.of(bounds)]), ack_at)
     hole_at = cli.next_timer_us()
     assert hole_at == ack_at + 100_000 // HOLE_TIME_FRACTION
     cli.on_timer(hole_at)
@@ -867,7 +872,7 @@ def test_recovered_reports_repeat_until_a_carrier_is_acked():
     # an acked carrier does
     carrier = third[0].packet_number
     bounds = (1, carriers[0] - 1, probe.packet_number, carrier)
-    deliver(cli, Packet(2001, [AckFrame(carrier, 0, bounds)]), hole_at + 2)
+    deliver(cli, Packet(2001, [AckFrame.of(bounds)]), hole_at + 2)
     deliver(cli, Packet(1002, [HandshakeFrame(1)]), hole_at + 3)
     fourth = cli.flush(hole_at + 3)
     assert [p.kind for p in fourth] == ["feedback"]
