@@ -1,6 +1,7 @@
 """Drive the frame-level machinery: a sender registers protected packets
-and schedules repair symbols, the repair payloads are chunked into wire
-frames, and a receiver rebuilds dropped packets from what survives.
+and schedules repair symbols as whole repair frames, any too big for one
+packet are chunked, and a receiver rebuilds dropped packets from what
+survives.
 
 This sits one level below the transport: packet ids and delivery are
 managed by hand so every moving part is visible.
@@ -10,7 +11,7 @@ from fecsim.framework import (
     SCHEME_REED_SOLOMON,
     ReceiverFec,
     SenderFec,
-    chunk_frames,
+    chunk_repair,
     split_block_source_id,
 )
 from fecsim.schemes import BlockCodeParams
@@ -36,12 +37,10 @@ for i, body in enumerate(packets):
         for rid, data in receiver.on_source_symbol(raw_id, body):
             recovered[rid] = data
 
-    # a filled block parks its repair symbols on sender.pending; each
-    # payload is chunked into FEC frames small enough for one packet
+    # a filled block parks its repair symbols on sender.pending, each one
+    # whole FEC frame; chunk_repair splits any too big for one packet
     for pending in sender.pending:
-        frames = chunk_frames(
-            pending.payload, pending.repair_id, pending.nss, pending.nrs, MAX_PACKET
-        )
+        frames = chunk_repair(pending, MAX_PACKET)
         print(
             f"  block repair id {pending.repair_id:#x} "
             f"({pending.nss} sources, {pending.nrs} repairs, "

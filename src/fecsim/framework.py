@@ -3,10 +3,13 @@
 This module owns everything between the transport and the raw codes:
 
 * source payload identifiers (32-bit) and repair identifiers (64-bit),
-* the repair frame wire format, including chunking of repair symbols
-  that do not fit a single packet,
-* sender-side emission scheduling (block completion / window steps),
-* receiver-side reassembly and recovery bookkeeping.
+* the repair frame wire format,
+* sender-side emission scheduling (block completion / window steps): each
+  repair symbol is queued on ``SenderFec.pending`` as one whole frame
+  (``F`` set, chunk 0), which the transport sends as it is,
+* :func:`chunk_repair`, which splits a symbol wider than one frame's
+  payload into chunks, and the receiver-side reassembly of such chunks,
+* receiver-side recovery bookkeeping.
 
 Payload id layouts.  Block codes split the 32-bit source id into a
 24-bit block number and an 8-bit offset inside the block; convolutional
@@ -22,8 +25,8 @@ Frame wire format (big-endian), header padded to a fixed 16 bytes::
 
 where ``dl`` is the 15-bit payload length of this chunk and ``F`` (the
 least significant bit) marks the final chunk of a repair symbol.  The
-transport sizes its symbols to one frame (``F`` set, chunk 0), which the
-receiver takes without buffering.
+transport sizes its symbols to one frame, which the receiver takes without
+buffering.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import numpy as np
 from . import schemes
 from .rng import splitmix64_mix
 from .schemes import (
+    RLC_EVICT_WINDOWS,
     SCHEME_REED_SOLOMON,
     SCHEME_RLC,
     SCHEME_XOR,
@@ -124,16 +128,12 @@ class FecFrame:
     payload: bytes
 
 
-def chunk_frames(
-    payload: bytes,
-    repair_id: int,
-    nss: int,
-    nrs: int,
-    max_frame_payload: int,
-) -> list[FecFrame]:
-    """Split one repair symbol into frames of at most ``max_frame_payload``
-    payload bytes each; the F bit marks the final chunk only.  Raises
-    :class:`ChunkingOverflow` if the symbol needs more than 256 chunks."""
+def chunk_repair(frame: FecFrame, max_frame_payload: int) -> list[FecFrame]:
+    """Split a whole repair symbol (``frame``, F set at chunk 0) into frames
+    of at most ``max_frame_payload`` payload bytes each; the F bit marks the
+    final chunk only.  Raises :class:`ChunkingOverflow` if the symbol needs
+    more than 256 chunks."""
+    payload = frame.payload
     if not 1 <= max_frame_payload <= MAX_CHUNK_PAYLOAD:
         raise ValueError(f"max_frame_payload must be in [1, {MAX_CHUNK_PAYLOAD}]")
     if len(payload) == 0:
@@ -143,24 +143,18 @@ def chunk_frames(
             f"{len(payload)}-byte repair exceeds {MAX_CHUNKS} chunks "
             f"of {max_frame_payload} bytes"
         )
-    chunks = [
-        payload[i : i + max_frame_payload]
-        for i in range(0, len(payload), max_frame_payload)
-    ]
+    last = (len(payload) - 1) // max_frame_payload
     return [
-        FecFrame(idx == len(chunks) - 1, idx, repair_id, nss, nrs, chunk)
-        for idx, chunk in enumerate(chunks)
+        FecFrame(
+            idx == last,
+            idx,
+            frame.repair_id,
+            frame.nss,
+            frame.nrs,
+            payload[idx * max_frame_payload : (idx + 1) * max_frame_payload],
+        )
+        for idx in range(last + 1)
     ]
-
-
-def chunk_repair(pending: "PendingRepair", max_frame_payload: int) -> list[FecFrame]:
-    return chunk_frames(
-        pending.payload,
-        pending.repair_id,
-        pending.nss,
-        pending.nrs,
-        max_frame_payload,
-    )
 
 
 def encode_fec_frame(frame: FecFrame) -> bytes:
@@ -207,16 +201,6 @@ def parse_fec_frame(buf: bytes, offset: int = 0) -> tuple[FecFrame, int]:
 # ---------------------------------------------------------------------------
 # Sender side
 
-@dataclass
-class PendingRepair:
-    """A repair symbol ready for the packetiser."""
-
-    payload: bytes
-    repair_id: int
-    nss: int
-    nrs: int
-
-
 class SenderFec:
     """Per-endpoint encoder state and repair emission scheduling.
 
@@ -229,7 +213,7 @@ class SenderFec:
     def __init__(self, scheme: int, config, symbol_size: int):
         self.scheme = scheme
         self.symbol_size = symbol_size
-        self.pending: list[PendingRepair] = []
+        self.pending: list[FecFrame] = []  # whole repair symbols, oldest first
         self._pending_id: Optional[int] = None
         self._counter = 0  # sources committed so far; the RLC source id
         if scheme in (SCHEME_XOR, SCHEME_REED_SOLOMON):
@@ -334,11 +318,13 @@ class SenderFec:
             repairs = schemes.rs_encode(symbols, self.params)
         for idx, repair in enumerate(repairs):
             self.pending.append(
-                PendingRepair(
-                    payload=repair.payload.tobytes(),
-                    repair_id=block_repair_id(block, idx, repair.scheme_specific),
-                    nss=nss,
-                    nrs=len(repairs),
+                FecFrame(
+                    True,
+                    0,
+                    block_repair_id(block, idx, repair.scheme_specific),
+                    nss,
+                    len(repairs),
+                    repair.payload.tobytes(),
                 )
             )
         self._lane_symbols[lane] = []
@@ -352,11 +338,13 @@ class SenderFec:
             seed = self._next_seed()
             repair = schemes.rlc_encode(symbols, window_start, seed)
             self.pending.append(
-                PendingRepair(
-                    payload=repair.payload.tobytes(),
-                    repair_id=conv_repair_id(window_start, seed),
-                    nss=len(symbols),
-                    nrs=self.params.repairs,
+                FecFrame(
+                    True,
+                    0,
+                    conv_repair_id(window_start, seed),
+                    len(symbols),
+                    self.params.repairs,
+                    repair.payload.tobytes(),
                 )
             )
 
@@ -399,7 +387,9 @@ class ReceiverFec:
     several frames is buffered until its last chunk arrives, and dropped
     with its block or once its window falls out of the RLC decoder.  A
     block code buffers at most one such symbol per (block, index): a
-    second repair id there raises :class:`MalformedFrame`.
+    second repair id there raises :class:`MalformedFrame`.  RLC buffers at
+    most :data:`~fecsim.schemes.RLC_EVICT_WINDOWS` windows' worth of them,
+    one per source the decoder keeps, and drops the oldest first.
     """
 
     BLOCK_BACKLOG = 64
@@ -499,6 +489,11 @@ class ReceiverFec:
             payload = frame.payload
         else:
             if part is None:
+                if (
+                    self._rlc is not None
+                    and len(self._reassembly) >= RLC_EVICT_WINDOWS * self._rlc.window
+                ):
+                    del self._reassembly[next(iter(self._reassembly))]  # the oldest
                 part = _PartialRepair(repair_id, nss=frame.nss, nrs=frame.nrs)
                 self._reassembly[key] = part
             elif part.repair_id != repair_id:

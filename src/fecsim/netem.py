@@ -68,20 +68,13 @@ class Simulator:
     def idle(self) -> bool:
         return not self._heap
 
-    def run(
-        self,
-        until_us: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> None:
-        """Process events until the heap drains, ``until_us`` is passed,
-        or ``stop_when()`` turns true."""
+    def run(self, stop_when: Optional[Callable[[], bool]] = None) -> None:
+        """Process events until the heap drains or ``stop_when()`` turns
+        true."""
         heap = self._heap
         limit = self.max_events
         while heap:
             if stop_when is not None and stop_when():
-                return
-            if until_us is not None and heap[0][0] > until_us:
-                self.now_us = until_us
                 return
             time_us, _, fn, arg = heappop(heap)
             self.events_run += 1

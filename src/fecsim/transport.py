@@ -18,7 +18,9 @@ acknowledge the packet and report the repair in a Recovered frame so the
 sender still hears the congestion signal without retransmitting.
 
 Every repair symbol fits one repair frame, so each repair is one packet.
-A repair packet of :data:`MAX_PACKET_SIZE` bytes holds a frame of
+The connection sends repairs straight from ``SenderFec.pending``, oldest
+first, each as the one frame :func:`~fecsim.framework.chunk_repair` makes
+of it.  A repair packet of :data:`MAX_PACKET_SIZE` bytes holds a frame of
 :data:`REPAIR_CHUNK_BUDGET` bytes of payload; the symbol width
 :data:`FEC_SYMBOL_SIZE` is that, rounded down to a multiple of 8.  A
 protected packet therefore holds at most :data:`FEC_PACKET_CAP` bytes, the
@@ -488,7 +490,6 @@ class Connection:
         self._bytes_in_flight = 0
         self._hs_outbox: deque[int] = deque()
         self._retransmit: deque = deque()
-        self._repair_frames: deque[FecFrame] = deque()
         self._probe_frames: Optional[list] = None
         self._send_stream: Optional[SendStream] = None
         self._cc = NewReno(MAX_PACKET_SIZE)
@@ -793,17 +794,24 @@ class Connection:
                 # the repair before the acknowledgement of those packets;
                 # the pns repeat until a packet carrying them is acked
                 carried = frozenset(self._recovered_pending)
-                frames.append(RecoveredFrame.of(_bounds_of(sorted(carried))))
+                ranges = RangeSet()
+                for pn in sorted(carried):
+                    ranges.add(pn)
+                frames.append(RecoveredFrame.of(ranges.bounds))
             frames.append(self._ack_frame())
             self._ack_queued = False
             pkt = self._build(now, frames, "feedback")
             if carried:
                 self._sent[pkt.packet_number].recovered = carried
             return pkt
-        if self._repair_frames:
+        if self._sender_fec is not None and self._sender_fec.pending:
             if not self._cwnd_ok():
                 return None
-            return self._build(now, [self._repair_frames.popleft()], "repair")
+            # one symbol, one frame: the unpack checks the symbol sizing
+            (frame,) = framework.chunk_repair(
+                self._sender_fec.pending.pop(0), REPAIR_CHUNK_BUDGET
+            )
+            return self._build(now, [frame], "repair")
         if self._retransmit:
             if not self._cwnd_ok():
                 return None
@@ -829,8 +837,7 @@ class Connection:
         ):
             return False
         self._sender_fec.flush()
-        self._queue_repair_frames()
-        return bool(self._repair_frames)
+        return bool(self._sender_fec.pending)
 
     def _ack_frame(self) -> AckFrame:
         # Old gaps are final on a FIFO path: the sender has long since
@@ -839,15 +846,6 @@ class Connection:
         received = self._received_pns
         received.prune(2 * ACK_RANGE_CAP)
         return received.ack_frame(ACK_RANGE_CAP)
-
-    def _queue_repair_frames(self) -> None:
-        if self._sender_fec is None:
-            return
-        while self._sender_fec.pending:
-            pending = self._sender_fec.pending.pop(0)
-            self._repair_frames.extend(
-                framework.chunk_repair(pending, REPAIR_CHUNK_BUDGET)
-            )
 
     def _build(
         self, now: int, frames: list, kind: str, retransmission: bool = False
@@ -876,7 +874,6 @@ class Connection:
             raise AssertionError(f"built a {len(data)}-byte packet (max {cap})")
         if protect:
             self._sender_fec.commit_source(source_id, data)
-            self._queue_repair_frames()
         if ack_eliciting:
             self._sent[pn] = SentRecord(pn, now, len(data), retransmittable)
             self._bytes_in_flight += len(data)
@@ -921,17 +918,6 @@ def acked_in_flight(sent: dict[int, SentRecord], ack: AckFrame) -> list[int]:
             out.extend(reversed([pn for pn in takewhile(hi.__ge__, sent) if pn >= lo]))
     out.reverse()
     return out
-
-
-def _bounds_of(values: list[int]) -> tuple[int, ...]:
-    """Collapse a sorted pn list into the flat bounds of inclusive ranges."""
-    out: list[int] = []
-    for v in values:
-        if out and out[-1] == v - 1:
-            out[-1] = v
-        else:
-            out += (v, v)
-    return tuple(out)
 
 
 def pattern_request_size(request: bytes) -> int:

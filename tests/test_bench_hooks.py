@@ -2,12 +2,15 @@
 
 ``perfbench/layertrace.instrument`` looks each entry point up by name, so a
 renamed or deleted name would break only a traced benchmark run.  One
-traced codec round installs every span, so it fails here first.  The
-benchmark's modules are imported from ``perfbench/`` and not changed.
+traced codec round installs every span, so it fails here first.  One small
+download checks what the spans count and what the matrix workload's
+``Recorder`` summary reads off the program's objects.  The benchmark's
+modules are imported from ``perfbench/`` and not changed.
 """
 
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,6 +18,7 @@ from types import SimpleNamespace
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
+import checks  # noqa: E402
 import layertrace  # noqa: E402
 import workloads  # noqa: E402
 
@@ -42,18 +46,48 @@ def test_traced_codec_round_installs_every_span(tmp_path):
     assert tracer.calls["netem.run"] == 0
 
 
+def rlc_transfer(fx, **kwargs):
+    """One small download: da2gc, 10 kB, rlc, seed 1."""
+    xp = fx.experiments
+    return xp.run_transfer(xp.preset("da2gc"), xp.VARIANTS["rlc"], 10_000, seed=1, **kwargs)
+
+
 def test_traced_transfer_counts_acks_and_their_ranges():
-    """One small traced download (da2gc, 10 kB, rlc): the wrapped
-    ``transport.parse_packet`` and ``transport.encode_packet`` run, and
-    ``count_acks`` reads every parsed ACK's ranges."""
+    """One small traced download: the wrapped ``transport.parse_packet``
+    and ``transport.encode_packet`` run, and ``count_acks`` reads every
+    parsed ACK's ranges."""
     fx = layer_modules()
     tracer = layertrace.Tracer()
     with layertrace.instrument(fx, tracer):
-        result = fx.experiments.run_transfer(
-            fx.experiments.preset("da2gc"), fx.experiments.VARIANTS["rlc"], 10_000, seed=1
-        )
+        result = rlc_transfer(fx)
     assert result.completed
     assert tracer.calls["frames.encode_packet"] > 0
     assert tracer.calls["frames.parse_packet"] > 0
     assert tracer.counts["ack_frames"] > 0
     assert tracer.counts["ack_ranges"] >= tracer.counts["ack_frames"]
+
+
+def test_traced_transfer_counts_one_repair_frame_per_repair_packet():
+    """The ``framework.chunk_repair`` span counts the repair frames the
+    transport sends: one per repair packet in the trace."""
+    fx = layer_modules()
+    tracer = layertrace.Tracer()
+    with layertrace.instrument(fx, tracer):
+        result = rlc_transfer(fx, collect_trace=True)
+    assert result.completed
+    sent = re.findall(r"\.send \d+ repair$", result.trace_text, re.MULTILINE)
+    assert tracer.counts["repair_frames_sent"] == len(sent) == 6
+
+
+def test_recorder_summarizes_a_transfer_as_the_matrix_reads_it(tmp_path):
+    """``workloads.Recorder`` sees the simulator, network and connections
+    of one download, and the matrix workload's summary reads them."""
+    fx = layer_modules()
+    matrix = workloads.Matrix(fx, 0, tmp_path)
+    with workloads.Recorder(fx, "run_transfer", matrix._summarize) as recorder:
+        rlc_transfer(fx)
+    ((transfer, counts),) = recorder.summaries
+    assert isinstance(transfer, checks.Transfer)
+    assert transfer.completed and transfer.received == transfer.size == 10_000
+    assert transfer.wire_bytes > transfer.size
+    assert counts["events"] > 0 and counts["wire_packets"] > 0

@@ -24,7 +24,6 @@ from fecsim.framework import (
     UnknownScheme,
     block_repair_id,
     block_source_id,
-    chunk_frames,
     chunk_repair,
     conv_repair_id,
     encode_fec_frame,
@@ -119,26 +118,29 @@ def test_parse_at_offset_and_back_to_back_frames():
 
 def test_chunking_splits_and_marks_final():
     payload = bytes(range(256)) * 4  # 1024 bytes
-    frames = chunk_frames(payload, 9, 20, 10, 300)
+    frames = chunk_repair(FecFrame(True, 0, 9, 20, 10, payload), 300)
     assert [f.chunk_offset for f in frames] == [0, 1, 2, 3]
     assert [f.fin for f in frames] == [False, False, False, True]
     assert [len(f.payload) for f in frames] == [300, 300, 300, 124]
     assert b"".join(f.payload for f in frames) == payload
     assert all((f.nss, f.nrs) == (20, 10) for f in frames)
-    single = chunk_frames(b"z", 9, 1, 1, 300)
-    assert len(single) == 1 and single[0].fin
+    whole = FecFrame(True, 0, 9, 1, 1, b"z")
+    assert chunk_repair(whole, 300) == [whole]  # fits: one frame
 
 
 def test_chunking_limits():
+    def whole(payload):
+        return FecFrame(True, 0, 1, 1, 1, payload)
+
     with pytest.raises(ChunkingOverflow):
-        chunk_frames(bytes(MAX_CHUNKS + 1), 1, 1, 1, 1)
-    chunk_frames(bytes(MAX_CHUNKS), 1, 1, 1, 1)  # exactly 256 chunks is fine
+        chunk_repair(whole(bytes(MAX_CHUNKS + 1)), 1)
+    assert len(chunk_repair(whole(bytes(MAX_CHUNKS)), 1)) == MAX_CHUNKS  # exactly fits
     with pytest.raises(ValueError):
-        chunk_frames(b"x", 1, 1, 1, 0)
+        chunk_repair(whole(b"x"), 0)
     with pytest.raises(ValueError):
-        chunk_frames(b"x", 1, 1, 1, MAX_CHUNK_PAYLOAD + 1)
+        chunk_repair(whole(b"x"), MAX_CHUNK_PAYLOAD + 1)
     with pytest.raises(ValueError):
-        chunk_frames(b"", 1, 1, 1, 100)
+        chunk_repair(whole(b""), 100)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +179,7 @@ def test_rs_sender_emits_repairs_at_block_completion():
     ids = [split_repair_id(p.repair_id) for p in sender.pending]
     assert [split_block_source_id(hi) for hi, _ in ids] == [(0, 0), (0, 1)]
     assert all((p.nss, p.nrs) == (4, 2) for p in sender.pending)
+    assert all(p.fin and p.chunk_offset == 0 for p in sender.pending)  # whole
     # the offset rolls over into the next block after k sources
     source_ids += [push_packet(sender, random_packet(rnd)) for _ in range(2)]
     assert source_ids == [0x0000, 0x0001, 0x0002, 0x0003, 0x0100, 0x0101]
@@ -263,9 +266,7 @@ def pipe(sender, receiver, packets, drop=()):
         if i not in drop:
             recovered.extend(receiver.on_source_symbol(raw, pkt))
         for pending in sender.pending:
-            for frame in chunk_frames(
-                pending.payload, pending.repair_id, pending.nss, pending.nrs, 1200
-            ):
+            for frame in chunk_repair(pending, 1200):
                 recovered.extend(receiver.on_fec_frame(frame))
         sender.pending.clear()
     return recovered
@@ -301,9 +302,7 @@ def test_rs_first_in_block_loss_waits_for_rest_of_block():
         out.extend(receiver.on_source_symbol(raw, pkt))
     assert out == []  # 19 later sources alone recover nothing
     pending = sender.pending[0]
-    for frame in chunk_frames(
-        pending.payload, pending.repair_id, pending.nss, pending.nrs, 1200
-    ):
+    for frame in chunk_repair(pending, 1200):
         out.extend(receiver.on_fec_frame(frame))
     assert out == [(ids[0], packets[0])]
 
@@ -328,9 +327,7 @@ def test_receiver_chunk_reassembly_out_of_order():
     for raw, pkt in zip(ids[1:], packets[1:]):
         receiver.on_source_symbol(raw, pkt)
     pending = sender.pending[0]
-    frames = chunk_frames(
-        pending.payload, pending.repair_id, pending.nss, pending.nrs, 20
-    )
+    frames = chunk_repair(pending, 20)
     assert len(frames) >= 3
     out = []
     order = list(reversed(frames))  # worst-case arrival order
@@ -361,9 +358,7 @@ def test_receiver_evicts_blocks_behind_backlog():
     receiver.on_source_symbol(far, b"later")
     pending = sender.pending[0]
     out = []
-    for frame in chunk_frames(
-        pending.payload, pending.repair_id, pending.nss, pending.nrs, 1200
-    ):
+    for frame in chunk_repair(pending, 1200):
         out.extend(receiver.on_fec_frame(frame))
     assert out == []  # too late, the block fell out of the backlog
 
@@ -458,6 +453,57 @@ def test_receiver_holds_one_partial_repair_per_block_and_index():
     assert part.repair_id == block_repair_id(0, 0, 0)
 
 
+def test_receiver_caps_rlc_partial_repairs_oldest_first():
+    """10,000 first chunks at window start 0, each with another coefficient
+    seed: the receiver keeps one partial per source its decoder holds, the
+    newest ones, and refuses none (an honest sender sends several repairs
+    at one window start)."""
+    receiver = ReceiverFec(SCHEME_RLC, 1168, window=20)
+    cap = RLC_EVICT_WINDOWS * 20
+    chunk = bytes(1_175)
+    for lo in range(10_000):
+        frame = FecFrame(False, 0, conv_repair_id(0, lo), 20, 1, chunk)
+        assert receiver.on_fec_frame(frame) == []
+        assert len(receiver._reassembly) <= cap
+    assert [part.repair_id & 0xFFFFFFFF for part in receiver._reassembly.values()] == list(
+        range(10_000 - cap, 10_000)
+    )
+
+
+@pytest.mark.parametrize("n,k,window", [(3, 2, 20), (6, 2, 4)])
+@pytest.mark.parametrize("seed", range(3))
+def test_honest_chunked_rlc_streams_recover_and_never_raise(n, k, window, seed):
+    """Honest RLC streams with every repair split into chunks and a share of
+    the sources and chunks lost: nothing raises, every recovered packet is
+    the one sent, and the partial repairs stay within the cap.  rlc(6,2,4)
+    sends two repairs per source, more than the cap holds over the decoder's
+    span, so the cap evicts honest partials there."""
+    rnd = random.Random(f"honest-rlc-{n}-{k}-{window}-{seed}")
+    sender = make_sender(SCHEME_RLC, ConvolutionalParams(n, k, window))
+    receiver = ReceiverFec(SCHEME_RLC, SYMBOL, window=window)
+    originals, recovered, peak = {}, [], 0
+    for _ in range(300):
+        packet = random_packet(rnd)
+        raw = push_packet(sender, packet)
+        originals[raw] = packet
+        if rnd.random() >= 0.2:
+            recovered.extend(receiver.on_source_symbol(raw, packet))
+        for pending in sender.pending:
+            chunks = chunk_repair(pending, 20)
+            assert len(chunks) > 1
+            if rnd.random() < 0.5:
+                chunks.reverse()
+            for frame in chunks:
+                if rnd.random() >= 0.3:
+                    recovered.extend(receiver.on_fec_frame(frame))
+            peak = max(peak, len(receiver._reassembly))
+        sender.pending.clear()
+    assert recovered
+    for raw, data in recovered:
+        assert data == originals[raw]
+    assert peak <= RLC_EVICT_WINDOWS * window
+
+
 @pytest.mark.parametrize(
     "scheme", [SCHEME_XOR, SCHEME_REED_SOLOMON, SCHEME_RLC], ids=["xor", "rs", "rlc"]
 )
@@ -481,9 +527,7 @@ def test_receiver_drops_partial_repairs_with_their_block(scheme):
         if raw % 2:  # lose every other source, so no block completes
             receiver.on_source_symbol(raw, b"")
         for pending in sender.pending:
-            first = chunk_frames(
-                pending.payload, pending.repair_id, pending.nss, pending.nrs, 20
-            )[0]
+            first = chunk_repair(pending, 20)[0]
             assert receiver.on_fec_frame(first) == []
         sender.pending.clear()
         peak = max(peak, len(receiver._reassembly))
@@ -698,9 +742,7 @@ def coded_stream_digests(code):
             repairs.update(pending.payload)
             if rnd.random() < 0.1:
                 continue
-            for frame in chunk_frames(
-                pending.payload, pending.repair_id, pending.nss, pending.nrs, 1175
-            ):
+            for frame in chunk_repair(pending, 1175):
                 delivered.extend(receiver.on_fec_frame(frame))
         sender.pending.clear()
         for raw_id, data in delivered:

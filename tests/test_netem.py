@@ -96,20 +96,14 @@ def test_simulator_clamps_past_deadlines_to_now():
     assert times == [100]  # never travels back in time
 
 
-def test_simulator_until_and_stop_when():
+def test_simulator_stop_when():
     sim = Simulator()
     seen = []
     for t in (10, 20, 30):
         sim.schedule_at(t, seen.append, t)
-    sim.run(until_us=20)
-    assert seen == [10, 20] and sim.now_us == 20
-    sim2 = Simulator()
-    seen2 = []
-    for t in (10, 20, 30):
-        sim2.schedule_at(t, seen2.append, t)
-    sim2.run(stop_when=lambda: len(seen2) >= 2)
-    assert seen2 == [10, 20]  # the 30us event stays queued
-    assert not sim2.idle
+    sim.run(stop_when=lambda: len(seen) >= 2)
+    assert seen == [10, 20]  # the 30us event stays queued
+    assert not sim.idle
 
 
 def test_simulator_event_budget():
