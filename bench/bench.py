@@ -4,7 +4,7 @@ loss paths and the event loop, and the seed-0 output hashes.
 Run from the root of a checkout; fecsim is imported from that checkout's
 ``src/``::
 
-    python3 bench/bench.py --out BENCH_12.json
+    python3 bench/bench.py --out BENCH_15.json
 
 The JSON records:
 
@@ -34,10 +34,11 @@ The JSON records:
   width the perfbench ``codec`` workload codes at.  The transport codes
   at ``FEC_SYMBOL_SIZE`` (1168 bytes) so that a repair symbol fits one
   repair frame; the row cost scales with the width;
-* ``outputs``: the sha256 and host time of one ``fecsim run --seed 0``
-  and one ``fecsim fairness --seed 0 --count 1``.  Equal hashes between
-  two checkouts show that a change left the simulated results
-  byte-identical.
+* ``outputs``: the sha256, the heap events (the sum of
+  ``Simulator.events_run`` over the run) and the host time of one
+  ``fecsim run --seed 0`` and one ``fecsim fairness --seed 0 --count 1``.
+  Equal hashes between two checkouts show that a change left the
+  simulated results byte-identical.
 """
 
 from __future__ import annotations
@@ -53,13 +54,14 @@ import tempfile
 import time
 import timeit
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from fecsim import cli, gf256, schemes  # noqa: E402
+from fecsim import cli, experiments, gf256, schemes  # noqa: E402
 from fecsim.netem import GilbertElliottLoss, Simulator  # noqa: E402
 from fecsim.frames import (  # noqa: E402
     AckFrame,
@@ -273,14 +275,23 @@ def bench_call(fn, number: int = 2000, repeat: int = 15) -> dict:
 
 
 def cli_output(argv: list[str]) -> dict:
-    with tempfile.TemporaryDirectory() as tmp:
+    sims: list[Simulator] = []
+
+    def counted(*args, **kwargs) -> Simulator:
+        sims.append(Simulator(*args, **kwargs))
+        return sims[-1]
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        experiments, "Simulator", counted
+    ):
         out = os.path.join(tmp, "out.csv")
         start = time.perf_counter()
         cli.main(argv + ["--out", out])
         wall = time.perf_counter() - start
         with open(out, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-    return {"argv": argv, "sha256": digest, "wall_s": round(wall, 3)}
+    events = sum(sim.events_run for sim in sims)
+    return {"argv": argv, "sha256": digest, "events": events, "wall_s": round(wall, 3)}
 
 
 def main() -> int:

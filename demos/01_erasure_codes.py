@@ -36,7 +36,7 @@ print("== XOR ==")
 repair = xor_encode(symbols)
 lost_index = 2
 received = [None if i == lost_index else s for i, s in enumerate(symbols)]
-recovered = xor_recover(received, repair)
+recovered = xor_recover(received, repair.payload)
 print("lost  :", packets[lost_index].decode())
 print("fixed :", unframe_symbol(recovered).decode())
 assert unframe_symbol(recovered) == packets[lost_index]

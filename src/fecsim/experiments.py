@@ -222,36 +222,43 @@ def lhs_scenarios(
 ) -> list[Scenario]:
     """Bursty-loss scenarios drawn by Latin-hypercube sampling."""
     box = dict(PARAMETER_BOX if box is None else box)
-    unknown = set(box) - set(PARAMETER_BOX)
-    if unknown:
-        raise ValueError(f"unknown sampling dimensions: {sorted(unknown)}")
-    missing = set(PARAMETER_BOX) - set(box)
-    if missing:
-        raise ValueError(f"missing sampling dimensions: {sorted(missing)}")
-    scenarios = []
-    for i, point in enumerate(latin_hypercube(seed, count, box)):
-        scenarios.append(
-            Scenario(
-                name=f"lhs{i:03d}",
-                bandwidth_bps=int(round(point["bandwidth_mbps"] * 1e6)),
-                one_way_delay_us=int(round(point["one_way_delay_ms"] * 1e3)),
-                loss=LossSpec(
-                    "ge",
-                    p=point["loss_p"],
-                    r=point["loss_r"],
-                    k=point["loss_k"],
-                    h=point["loss_h"],
-                ),
-            )
+    if set(box) != set(PARAMETER_BOX):
+        raise ValueError(f"sampling dimensions {sorted(box)} are not {sorted(PARAMETER_BOX)}")
+    _check_box(box)
+    return [
+        Scenario(
+            name=f"lhs{i:03d}",
+            bandwidth_bps=int(round(point["bandwidth_mbps"] * 1e6)),
+            one_way_delay_us=int(round(point["one_way_delay_ms"] * 1e3)),
+            loss=LossSpec(
+                "ge",
+                p=point["loss_p"],
+                r=point["loss_r"],
+                k=point["loss_k"],
+                h=point["loss_h"],
+            ),
         )
-    return scenarios
+        for i, point in enumerate(latin_hypercube(seed, count, box))
+    ]
+
+
+def _check_box(box: Mapping[str, tuple[float, float]]) -> None:
+    """Raise ``ValueError`` naming the first dimension whose bounds are
+    inverted, not finite or outside its domain: probabilities lie in
+    [0, 1], the bandwidth is at least 1 bit/s and the delay is not negative."""
+    for name, (lo, hi) in box.items():
+        if lo > hi:
+            raise ValueError(f"{name}: min {lo} exceeds max {hi}")
+        top = 1.0 if name.startswith("loss_") else sys.float_info.max
+        if not 0.0 <= lo <= hi <= top or (name == "bandwidth_mbps" and lo * 1e6 < 1.0):
+            raise ValueError(f"{name}: bounds {lo} and {hi} leave the dimension's domain")
 
 
 def parse_ranges_file(path: str) -> dict[str, tuple[float, float]]:
     """Read a sampling box from flat ``<dimension>_min = value`` /
     ``<dimension>_max = value`` lines (# starts a comment).  Dimensions
     not mentioned keep their default bounds, so an empty file selects
-    the stock box."""
+    the stock box.  A bad value or box raises ``ValueError``."""
     box = {name: [lo, hi] for name, (lo, hi) in PARAMETER_BOX.items()}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -264,13 +271,14 @@ def parse_ranges_file(path: str) -> dict[str, tuple[float, float]]:
             key = key.strip()
             for suffix, idx in (("_min", 0), ("_max", 1)):
                 if key.endswith(suffix) and key[: -len(suffix)] in box:
-                    box[key[: -len(suffix)]][idx] = float(value)
+                    try:
+                        box[key[: -len(suffix)]][idx] = float(value)
+                    except ValueError:
+                        raise ValueError(f"{path}:{lineno}: {key} is not a number") from None
                     break
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    for name, (lo, hi) in box.items():
-        if lo > hi:
-            raise ValueError(f"{name}: min {lo} exceeds max {hi}")
+    _check_box(box)
     return {name: (lo, hi) for name, (lo, hi) in box.items()}
 
 

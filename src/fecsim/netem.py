@@ -2,9 +2,9 @@
 
 The clock is integer microseconds.  A :class:`Link` models one direction
 of a path: a drop-tail queue in front of a serialising transmitter,
-followed by a fixed propagation delay.  Random loss is applied when a
-packet finishes serialising, i.e. it still occupied the wire - dropped
-bytes count towards the link's wire-byte total.
+followed by a fixed propagation delay, each departure fixed at enqueue.
+Random loss is applied when a packet finishes serialising, so dropped
+bytes still count towards the link's wire-byte total.
 
 Both directions of a path share a single loss model instance; its draws
 are consumed in global event order, which keeps runs bit-reproducible
@@ -13,7 +13,7 @@ for a given seed no matter which side transmits first.
 A packet is one :class:`Datagram` (the transport's ``OutPacket``) from
 ``Connection.flush`` to the peer: :meth:`Host.pump` sets its ``src`` and
 ``dst`` hosts and :meth:`Link._arrive` calls ``dgram.dst.on_datagram``.
-Every event runs ``fn(arg)``.
+Every event runs ``fn(arg)``, and each host keeps one timer event armed.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class Simulator:
     """Min-heap event loop; ties break in scheduling order.
 
     An event is ``(time, seq, fn, arg)`` and runs ``fn(arg)``; links and
-    hosts pass their datagram, timer generation or host, not a closure.
+    hosts pass their datagram, timer deadline or host, not a closure.
     """
 
     def __init__(self, max_events: int = DEFAULT_MAX_EVENTS):
@@ -210,7 +210,8 @@ class LinkStats:
 
 class Link:
     """One direction: drop-tail queue -> serialiser -> delay -> the
-    datagram's ``dst`` host."""
+    datagram's ``dst`` host.  FIFO fixes each departure at enqueue, so the
+    queue is the ``_finish`` events in the heap; the link only counts them."""
 
     def __init__(
         self,
@@ -228,46 +229,37 @@ class Link:
         self.queue_packets = queue_packets
         self.stats = LinkStats()
         self._trace = trace
-        self._queue: deque[Datagram] = deque()
-        self._busy = False
+        self._unfinished = 0  # one serialising plus those queued behind it
+        self._free_at = 0  # when the last unfinished datagram finishes
         self._serialization_us: dict[int, int] = {}  # packet size -> time
 
     def send(self, dgram: Datagram) -> None:
-        if self._busy:
-            if len(self._queue) >= self.queue_packets:
-                self.stats.queue_drops += 1
-                if self._trace:
-                    self._trace("drop_queue", dgram)
-                return
-            self._queue.append(dgram)
-        else:
-            self._begin(dgram)
-
-    def _begin(self, dgram: Datagram) -> None:
-        self._busy = True
+        if self._unfinished > self.queue_packets:
+            self.stats.queue_drops += 1
+            if self._trace:
+                self._trace("drop_queue", dgram)
+            return
         size = len(dgram.data)
         wire_us = self._serialization_us.get(size)
         if wire_us is None:
             wire_us = self._serialization_us[size] = serialization_us(size, self.bandwidth_bps)
-        sim = self.sim
-        sim.schedule_at(sim.now_us + wire_us, self._finish, dgram)
+        start = self._free_at if self._unfinished else self.sim.now_us
+        self._free_at = start + wire_us
+        self._unfinished += 1
+        self.sim.schedule_at(self._free_at, self._finish, dgram)
 
     def _finish(self, dgram: Datagram) -> None:
         # the packet occupied the wire whether or not it now gets lost
+        self._unfinished -= 1
         stats = self.stats
         stats.wire_bytes += len(dgram.data)
         stats.wire_packets += 1
         if self.loss is None or self.loss.decide(dgram):
-            sim = self.sim
-            sim.schedule_at(sim.now_us + self.delay_us, self._arrive, dgram)
+            self.sim.schedule_at(self.sim.now_us + self.delay_us, self._arrive, dgram)
         else:
             self.stats.random_drops += 1
             if self._trace:
                 self._trace("drop_random", dgram)
-        if self._queue:
-            self._begin(self._queue.popleft())
-        else:
-            self._busy = False
 
     def _arrive(self, dgram: Datagram) -> None:
         self.stats.delivered_packets += 1
@@ -276,8 +268,9 @@ class Link:
 
 class Host:
     """Binds one connection to the event loop: pumps outbound packets, each
-    stamped with this host's name and the peer host, and re-arms the
-    connection's single timer after every state change."""
+    stamped with this host's name and the peer host, and keeps one timer
+    event, carrying its deadline, armed no later than the connection's: a
+    deadline that moved later is re-armed when the armed event fires."""
 
     def __init__(self, sim: Simulator, conn: Connection, name: str):
         self.sim = sim
@@ -285,7 +278,7 @@ class Host:
         self.name = name
         # (outbound link, peer host), set by Network.attach_pair
         self.route: Optional[tuple[Link, Host]] = None
-        self._timer_gen = 0
+        self._timer_at: Optional[int] = None  # deadline of the armed event
 
     def start(self) -> None:
         self.conn.start(self.sim.now_us)
@@ -301,19 +294,18 @@ class Host:
             dgram.src = self.name
             dgram.dst = peer
             link.send(dgram)
-        self._arm_timer()
-
-    def _arm_timer(self) -> None:
         deadline = self.conn.next_timer_us()
-        self._timer_gen += 1
-        if deadline is None:
-            return
-        self.sim.schedule_at(deadline, self._on_timer, self._timer_gen)
+        if deadline is not None and (self._timer_at is None or deadline < self._timer_at):
+            self._timer_at = deadline
+            self.sim.schedule_at(deadline, self._on_timer, deadline)
 
-    def _on_timer(self, gen: int) -> None:
-        if gen != self._timer_gen:
-            return  # superseded by a newer arm
-        self.conn.on_timer(self.sim.now_us)
+    def _on_timer(self, at: int) -> None:
+        if at != self._timer_at:
+            return  # an earlier deadline armed another event
+        self._timer_at = None
+        deadline = self.conn.next_timer_us()
+        if deadline is not None and deadline <= self.sim.now_us:
+            self.conn.on_timer(self.sim.now_us)
         self.pump()
 
 

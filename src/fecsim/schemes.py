@@ -129,15 +129,13 @@ def xor_encode(sources: Sequence[np.ndarray]) -> RepairSymbol:
     return RepairSymbol(gf256.xor_rows(np.stack(sources)), 0)
 
 
-def xor_recover(
-    received: Sequence[Optional[np.ndarray]], repair: RepairSymbol | np.ndarray
-) -> np.ndarray:
-    """Restore the single missing symbol of a block from its XOR repair.
+def xor_recover(received: Sequence[Optional[np.ndarray]], payload: np.ndarray) -> np.ndarray:
+    """Restore the single missing symbol of a block from its XOR repair's
+    payload.
 
     ``received`` lists the block's source symbols in offset order with
     ``None`` marking the gap.
     """
-    payload = repair.payload if isinstance(repair, RepairSymbol) else repair
     missing = [i for i, sym in enumerate(received) if sym is None]
     if not missing:
         raise NothingToRecover("block is already complete")

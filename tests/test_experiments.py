@@ -78,6 +78,9 @@ def test_lhs_scenarios_rejects_bad_boxes():
     bad["color"] = (0.0, 1.0)
     with pytest.raises(ValueError):
         xp.lhs_scenarios(1, 3, bad)
+    negative = dict(xp.PARAMETER_BOX, one_way_delay_ms=(-300.0, -200.0))
+    with pytest.raises(ValueError, match="one_way_delay_ms"):
+        xp.lhs_scenarios(1, 3, negative)
 
 
 def test_parse_ranges_file_empty_gives_default_box(tmp_path):
@@ -114,6 +117,24 @@ def test_parse_ranges_file_errors(tmp_path):
     inverted.write_text("loss_p_min = 0.5\nloss_p_max = 0.1\n")
     with pytest.raises(ValueError, match="exceeds"):
         xp.parse_ranges_file(str(inverted))
+    out_of_domain = {
+        "loss_h_min = nan\n": "loss_h",
+        "loss_p_max = 2\n": "loss_p",
+        "loss_k_min = -0.1\n": "loss_k",
+        "bandwidth_mbps_min = 0\n": "bandwidth_mbps",
+        "bandwidth_mbps_min = 1e-7\n": "bandwidth_mbps",  # rounds to 0 bit/s
+        "one_way_delay_ms_min = -300\none_way_delay_ms_max = -200\n": "one_way_delay_ms",
+        "one_way_delay_ms_max = inf\n": "one_way_delay_ms",
+    }
+    for i, (text, dimension) in enumerate(out_of_domain.items()):
+        path = tmp_path / f"d{i}.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{dimension}: "):
+            xp.parse_ranges_file(str(path))
+    not_a_number = tmp_path / "e.txt"
+    not_a_number.write_text("# comment\nloss_r_max = abc\n")
+    with pytest.raises(ValueError, match=f"^{not_a_number}:2: loss_r_max is not a number"):
+        xp.parse_ranges_file(str(not_a_number))
 
 
 # ---------------------------------------------------------------------------

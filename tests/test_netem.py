@@ -1,15 +1,20 @@
 """Event loop, links, and loss models."""
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fecsim.netem import (
     BAD,
     GOOD,
     Datagram,
     GilbertElliottLoss,
+    Host,
     Link,
+    LinkStats,
     PredicateLoss,
     ScriptedLoss,
     SimulationRunaway,
@@ -300,6 +305,147 @@ def test_shared_loss_model_consumes_draws_in_event_order():
     sim.run()
     assert fast_sink.arrivals == []
     assert [d.packet_number for _, d in slow_sink.arrivals] == [1]
+
+
+class DequeLink:
+    """Reference model of :class:`Link`: a deque of waiting datagrams and a
+    busy flag, where each datagram's ``_finish`` event is scheduled only
+    when it starts serialising (``_begin``), at the previous one's finish."""
+
+    def __init__(self, sim, bandwidth_bps, delay_us, loss=None, queue_packets=50, trace=None):
+        self.sim = sim
+        self.bandwidth_bps = bandwidth_bps
+        self.delay_us = delay_us
+        self.loss = loss
+        self.queue_packets = queue_packets
+        self.stats = LinkStats()
+        self._trace = trace
+        self._queue = deque()
+        self._busy = False
+
+    def send(self, dgram):
+        if self._busy:
+            if len(self._queue) >= self.queue_packets:
+                self.stats.queue_drops += 1
+                if self._trace:
+                    self._trace("drop_queue", dgram)
+                return
+            self._queue.append(dgram)
+        else:
+            self._begin(dgram)
+
+    def _begin(self, dgram):
+        self._busy = True
+        wire_us = serialization_us(len(dgram.data), self.bandwidth_bps)
+        self.sim.schedule_at(self.sim.now_us + wire_us, self._finish, dgram)
+
+    def _finish(self, dgram):
+        self.stats.wire_bytes += len(dgram.data)
+        self.stats.wire_packets += 1
+        if self.loss is None or self.loss.decide(dgram):
+            self.sim.schedule_at(self.sim.now_us + self.delay_us, self._arrive, dgram)
+        else:
+            self.stats.random_drops += 1
+            if self._trace:
+                self._trace("drop_random", dgram)
+        if self._queue:
+            self._begin(self._queue.popleft())
+        else:
+            self._busy = False
+
+    def _arrive(self, dgram):
+        self.stats.delivered_packets += 1
+        dgram.dst.on_datagram(dgram)
+
+
+def drive_link(link_cls, sends, queue_packets, script):
+    """Offer ``sends`` ((instant, size) pairs) to one link at 8 Mbps, one
+    byte per microsecond on the wire, and return what came out."""
+    sim = Simulator()
+    sink = Sink(sim)
+    traced = []
+    link = link_cls(
+        sim, 8_000_000, 700, loss=ScriptedLoss(script), queue_packets=queue_packets,
+        trace=lambda event, d: traced.append((sim.now_us, event, d.packet_number)),
+    )
+    for pn, (at, size) in enumerate(sends):
+        sim.schedule_at(at, link.send, dgram(size, pn=pn, dst=sink))
+    sim.run()
+    arrivals = [(t, d.packet_number) for t, d in sink.arrivals]
+    return arrivals, traced, link.stats
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 40).map(lambda n: 10 * n), st.integers(1, 8).map(lambda n: 10 * n)),
+        max_size=24,
+    ),
+    st.integers(0, 3),
+    st.lists(st.booleans(), max_size=24),
+)
+# sends at 60 and 90 land on the exact microseconds packets 0 and 1 finish
+@example([(0, 60), (10, 30), (60, 10), (90, 20), (90, 10)], 1, [True, False])
+def test_link_matches_deque_reference(sends, queue_packets, script):
+    sends = sorted(sends)
+    got = drive_link(Link, sends, queue_packets, script)
+    want = drive_link(DequeLink, sends, queue_packets, script)
+    assert got == want
+
+
+class StubConnection:
+    """A connection whose timer deadline the test moves.  ``on_timer``
+    records its instant and leaves ``after_timer`` as the deadline, as a
+    probe deadline outlives the hole timer that fired."""
+
+    def __init__(self, after_timer):
+        self.deadline = None
+        self.after_timer = after_timer
+        self.timer_calls = []
+
+    def flush(self, now):
+        return []
+
+    def next_timer_us(self):
+        return self.deadline
+
+    def on_timer(self, now):
+        assert self.deadline is not None and self.deadline <= now  # only when due
+        self.timer_calls.append(now)
+        self.deadline = self.after_timer
+
+
+def test_host_keeps_one_timer_armed():
+    sim = Simulator()
+    conn = StubConnection(after_timer=200)
+    host = Host(sim, conn, "h")
+    host.route = (None, None)  # the stub sends nothing
+    timers = []  # (pushed at, deadline) of every timer event
+    schedule_at = sim.schedule_at
+
+    def recording_schedule_at(time_us, fn, arg):
+        if fn == host._on_timer:
+            timers.append((sim.now_us, arg))
+        schedule_at(time_us, fn, arg)
+
+    sim.schedule_at = recording_schedule_at
+
+    def move_deadline(deadline):
+        conn.deadline = deadline
+        host.pump()
+
+    move_deadline(100)
+    for at, deadline in ((10, 200), (20, 50), (60, 300), (250, None)):
+        sim.schedule_at(at, move_deadline, deadline)
+    sim.run()
+    # 200 is later than the armed 100: no push.  50 is earlier: pushed, and
+    # due when it fires, which leaves 200 armed, so the 100 event is stale.
+    # 300 is later than the armed 200: re-armed only when 200 fires, not
+    # due.  The deadline is cleared at 250, so the 300 event calls nothing.
+    assert timers == [(0, 100), (20, 50), (50, 200), (200, 300)]
+    assert conn.timer_calls == [50]
+    assert sim.now_us == 300
+    assert sim.events_run == 8  # four moves, timers at 50, 100, 200 and 300
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_xor_repairs_any_single_loss():
     repair = xor_encode(sources)
     for gap in range(5):
         received = [s if i != gap else None for i, s in enumerate(sources)]
-        got = xor_recover(received, repair)
+        got = xor_recover(received, repair.payload)
         assert np.array_equal(got, sources[gap])
 
 
@@ -109,9 +109,9 @@ def test_xor_errors():
     with pytest.raises(EmptyBlock):
         xor_encode([])
     with pytest.raises(NothingToRecover):
-        xor_recover(sources, repair)
+        xor_recover(sources, repair.payload)
     with pytest.raises(Unrecoverable):
-        xor_recover([None, None, sources[2]], repair)
+        xor_recover([None, None, sources[2]], repair.payload)
 
 
 # ---------------------------------------------------------------------------
