@@ -245,13 +245,16 @@ def lhs_scenarios(
 def _check_box(box: Mapping[str, tuple[float, float]]) -> None:
     """Raise ``ValueError`` naming the first dimension whose bounds are
     inverted, not finite or outside its domain: probabilities lie in
-    [0, 1], the bandwidth is at least 1 bit/s and the delay is not negative."""
+    [0, 1], the bandwidth is at least 1 bit/s and the delay is not negative.
+    A loss chain moves only if ``loss_p`` or ``loss_r`` can be positive."""
     for name, (lo, hi) in box.items():
         if lo > hi:
             raise ValueError(f"{name}: min {lo} exceeds max {hi}")
         top = 1.0 if name.startswith("loss_") else sys.float_info.max
         if not 0.0 <= lo <= hi <= top or (name == "bandwidth_mbps" and lo * 1e6 < 1.0):
             raise ValueError(f"{name}: bounds {lo} and {hi} leave the dimension's domain")
+    if box["loss_p"][1] + box["loss_r"][1] <= 0.0:
+        raise ValueError("loss_p and loss_r: both maxima are 0, so p + r is never positive")
 
 
 def parse_ranges_file(path: str) -> dict[str, tuple[float, float]]:
@@ -525,9 +528,8 @@ def read_run_csv(path: str) -> list[ExperimentRecord]:
                 raise ValueError(
                     f"{path}:{reader.line_num}: unsupported schema {row['schema']!r}"
                 )
-            rep_field = row["rep_dct_ms"]
-            records.append(
-                ExperimentRecord(
+            try:
+                record = ExperimentRecord(
                     scenario=row["scenario"],
                     variant=row["variant"],
                     strategy=row["strategy"],
@@ -540,14 +542,18 @@ def read_run_csv(path: str) -> list[ExperimentRecord]:
                     else None,
                     rep_dcts_us=tuple(
                         round(float(ms) * 1000)
-                        for ms in rep_field.split(";")
+                        for ms in row["rep_dct_ms"].split(";")
                         if ms
                     ),
                     wire_bytes=int(row["wire_bytes"]),
                     retransmissions=int(row["retransmissions"]),
                     recoveries=int(row["recoveries"]),
                 )
-            )
+                if record.dct_us is not None and record.dct_us <= 0:  # a ratio's divisor
+                    raise ValueError(f"dct_ms {row['dct_ms']} is not positive")
+            except (ValueError, OverflowError) as exc:  # a bad or infinite number
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            records.append(record)
     return records
 
 

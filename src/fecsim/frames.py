@@ -24,16 +24,19 @@ holds the largest value, and every value takes that width.  The values
 run newest first: the newest range's length (its ``hi - lo``), then for
 each older range its gap and its length, where the gap is the distance
 from that range's ``hi`` to the next newer range's ``lo``, minus 2.  A
-frame holds them as ``steps``.  Ranges that are out of order, overlap or
-touch cannot be written, nor can a largest above the ranges.  Parsing
-raises :class:`MalformedFrame` for a truncated list, a bad width, zero
-ranges or a range reaching below 0.  Whether the ranges name sent packets
-is the transport's check (``ProtocolViolation``).
+frame holds them as ``steps``, and :meth:`RangeSet.frame`, the one encoder
+of both frames, packs them; the set keeps its older ranges' values packed.
+Ranges that are out of order, overlap or touch cannot be written, nor can
+a largest above the ranges.  Parsing raises :class:`MalformedFrame` for a
+truncated list, a bad width, zero ranges or a range reaching below 0.
+Whether the ranges name sent packets is the transport's check
+(``ProtocolViolation``).
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional, Union
@@ -76,7 +79,7 @@ def _steps_struct(width: int, n: int) -> struct.Struct:
     return struct.Struct(">%d%s" % (n, _WIDTH_CODE[width]))
 
 
-def step_width(value: int) -> int:
+def _step_width(value: int) -> int:
     """The narrowest range-list width, in bytes, that holds ``value``."""
     if value < 0x100:
         return 1
@@ -85,18 +88,7 @@ def step_width(value: int) -> int:
     return 4 if value < 0x100000000 else 8
 
 
-def pack_steps(width: int, steps) -> bytes:
-    """Range-list values, each ``width`` bytes."""
-    return _steps_struct(width, len(steps)).pack(*steps)
-
-
-def range_list_head(ftype: int, top: int, count: int, width: int, first: int) -> bytes:
-    """A range list up to its older ranges: the header, then the newest
-    range's length."""
-    return _RANGE_HEAD[width].pack(ftype, top, count, width, first)
-
-
-def range_steps(bounds) -> tuple[int, ...]:
+def _range_steps(bounds) -> tuple[int, ...]:
     """The values of ascending flat inclusive bounds ``(lo0, hi0, lo1, hi1,
     ...)``, newest first.  Raises ``ValueError`` for ranges that cannot be
     written: none, inverted, out of order, overlapping or touching."""
@@ -108,6 +100,85 @@ def range_steps(bounds) -> tuple[int, ...]:
     if min(steps) < 0 or bounds[0] < 0:
         raise ValueError(f"ranges {bounds} are not ascending, disjoint and apart")
     return tuple(steps)
+
+
+class RangeSet:
+    """Sorted, disjoint, inclusive integer ranges, held as the flat
+    ascending bounds ``[lo0, hi0, lo1, hi1, ...]``.
+
+    For :meth:`frame` the set keeps the values of every range but the
+    newest, packed at the last width used.  Only the next packet in order
+    leaves them as they are; any other change drops them."""
+
+    def __init__(self) -> None:
+        self.bounds: list[int] = []
+        self._older: Optional[tuple[tuple[int, ...], int]] = None  # values, max
+        self._packed_width = 0
+        self._packed = b""
+
+    def add(self, value: int) -> bool:
+        """Add ``value``; returns whether it was not already covered."""
+        b = self.bounds
+        if b and b[-1] == value - 1:  # the next packet in order
+            b[-1] = value
+            return True
+        i = bisect_right(b, value)
+        if i & 1 or i and b[i - 1] == value:
+            return False  # inside a range, or its top
+        self._older = None
+        if i and b[i - 1] == value - 1:
+            if i < len(b) and b[i] == value + 1:
+                del b[i - 1 : i + 1]  # closes the gap between two ranges
+            else:
+                b[i - 1] = value
+        elif i < len(b) and b[i] == value + 1:
+            b[i] = value
+        else:
+            b[i:i] = (value, value)
+        return True
+
+    def __contains__(self, value: int) -> bool:
+        b = self.bounds
+        i = bisect_right(b, value)
+        return bool(i & 1) or bool(i) and b[i - 1] == value
+
+    def __len__(self) -> int:
+        return len(self.bounds) >> 1
+
+    def ranges(self) -> list[tuple[int, int]]:
+        return list(zip(self.bounds[::2], self.bounds[1::2]))
+
+    def prune(self, max_ranges: int) -> None:
+        """Merge the oldest ranges (closing their gaps) until at most
+        ``max_ranges`` remain."""
+        excess = len(self.bounds) - 2 * max_ranges
+        if excess > 0:
+            del self.bounds[1 : 1 + excess]
+            self._older = None
+
+    @property
+    def largest(self) -> int:
+        if not self.bounds:
+            raise ValueError("empty range set")
+        return self.bounds[-1]
+
+    def frame(self, kind: type[_RangeList], max_ranges: int) -> _RangeList:
+        """The ``kind`` frame (:class:`AckFrame` or :class:`RecoveredFrame`)
+        of the newest ``max_ranges`` ranges, with its wire bytes."""
+        b = self.bounds
+        if self._older is None:
+            older = _range_steps(b[-2 * max_ranges :])[1:]
+            self._older = older, max(older, default=0)
+            self._packed_width = 0
+        older, older_max = self._older
+        top = b[-1]
+        first = top - b[-2]
+        width = _step_width(max(first, older_max))
+        if width != self._packed_width:
+            self._packed = _steps_struct(width, len(older)).pack(*older)
+            self._packed_width = width
+        head = _RANGE_HEAD[width].pack(kind.TYPE, top, len(older) // 2 + 1, width, first)
+        return kind(top, (first, *older), head + self._packed)
 
 
 class UnknownFrameType(MalformedFrame):
@@ -126,18 +197,19 @@ class StreamFrame:
 class _RangeList:
     """Packet-number ranges as the wire carries them: ``largest`` tops the
     newest range, ``steps`` holds its length, then a gap and a length per
-    older range.  ``encoded`` is the frame's wire bytes, when they were
-    packed as it was made."""
+    older range.  ``encoded`` is the frame's wire bytes, packed by
+    :meth:`RangeSet.frame` or kept by the parser."""
 
     largest: int
     steps: tuple[int, ...]
-    encoded: bytes = field(default=b"", compare=False, repr=False)
+    encoded: bytes = field(compare=False, repr=False)
 
     @classmethod
     def of(cls, bounds):
         """The frame of ascending flat inclusive bounds."""
-        steps = range_steps(bounds)
-        return cls(bounds[-1], steps)
+        ranges = RangeSet()
+        ranges.bounds = list(bounds)
+        return ranges.frame(cls, len(ranges))
 
     def newest_first(self):
         """The inclusive (lo, hi) ranges, newest first."""
@@ -159,13 +231,6 @@ class _RangeList:
     def bounds(self) -> tuple[int, ...]:
         """The ranges as ascending flat inclusive bounds."""
         return tuple(v for r in self.ranges for v in r)
-
-    def encode(self) -> bytes:
-        steps = self.steps
-        width = step_width(max(steps))
-        return range_list_head(
-            self.TYPE, self.largest, (len(steps) + 1) >> 1, width, steps[0]
-        ) + pack_steps(width, steps[1:])
 
 
 @dataclass(slots=True)
@@ -197,7 +262,7 @@ def encode_frame(frame: Frame) -> bytes:
             + data
         )
     if kind is AckFrame or kind is RecoveredFrame:
-        return frame.encoded or frame.encode()
+        return frame.encoded
     if kind is HandshakeFrame:
         return _HANDSHAKE.pack(FRAME_HANDSHAKE, frame.round)
     if kind is FecFrame:
@@ -214,15 +279,15 @@ def _parse_range_list(kind, buf: bytes, offset: int) -> tuple[_RangeList, int]:
         raise MalformedFrame(f"range list of {width}-byte values")
     if not count:
         raise MalformedFrame("range list with no range")
-    offset += _RANGE_HEADER.size
-    end = offset + (2 * count - 1) * width
+    values = offset + _RANGE_HEADER.size
+    end = values + (2 * count - 1) * width
     if len(buf) < end:
         raise MalformedFrame("truncated range list")
-    steps = _steps_struct(width, 2 * count - 1).unpack_from(buf, offset)
+    steps = _steps_struct(width, 2 * count - 1).unpack_from(buf, values)
     # each range lies below the one before, so the oldest lo is the lowest
     if sum(steps) + 2 * (count - 1) > top:
         raise MalformedFrame(f"range list below 0 under top {top}")
-    return kind(top, steps), end
+    return kind(top, steps, buf[offset:end]), end
 
 
 def parse_frames(buf: bytes, offset: int = 0) -> list[Frame]:

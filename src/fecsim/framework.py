@@ -414,7 +414,12 @@ class ReceiverFec:
         self, raw_id: int, packet_bytes: bytes
     ) -> list[tuple[int, bytes]]:
         """Register a received protected packet; returns packets this
-        completes recovery for (idempotent for duplicates)."""
+        completes recovery for (idempotent for duplicates).  Raises
+        :class:`MalformedFrame` for a packet wider than a symbol holds."""
+        if len(packet_bytes) > self.symbol_size - 2:
+            raise MalformedFrame(
+                f"{len(packet_bytes)}-byte packet in a {self.symbol_size}-byte symbol"
+            )
         if raw_id in self._received:
             return []
         self._received.add(raw_id)
@@ -598,6 +603,9 @@ class ReceiverFec:
         for raw_id, symbol in pairs:
             if raw_id in self._received or raw_id in self._recovered:
                 continue
+            try:
+                out.append((raw_id, unframe_symbol(symbol)))
+            except schemes.FecSchemeError as exc:  # rebuilt from forged repairs
+                raise MalformedFrame(f"source {raw_id:#x} rebuilt as a {exc}") from None
             self._recovered.add(raw_id)
-            out.append((raw_id, unframe_symbol(symbol)))
         return out

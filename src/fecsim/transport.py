@@ -34,11 +34,11 @@ its frames again and signals congestion; the peer reports it recovered,
 which signals congestion but resends nothing; or the probe abandons it
 when nothing worth probing is left.
 
-The receiver keeps the packet numbers it received in a :class:`RangeSet`
-and acknowledges the newest :data:`ACK_RANGE_CAP` ranges in the range-list
-layout of :mod:`fecsim.frames` (RFC 9000 section 19.3).  The set keeps the
-encoded values of all but the newest range, so an ACK after an in-order
-packet packs only its header and the newest length.  The sender walks an
+The receiver keeps the packet numbers it received in a
+:class:`~fecsim.frames.RangeSet` and acknowledges the newest
+:data:`ACK_RANGE_CAP` ranges.  :mod:`fecsim.frames` owns the range-list
+layout (RFC 9000 section 19.3) and its one encoder, ``RangeSet.frame``,
+with the set's cache of packed older values.  The sender walks an
 ACK newest first and stops below its oldest packet in flight
 (:func:`acked_in_flight`).  That layout cannot express ranges out of order,
 overlapping or touching, nor a largest acknowledged above its ranges; an
@@ -49,7 +49,6 @@ ACK or Recovered frame that names an unsent packet raises
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import takewhile
@@ -57,22 +56,18 @@ from typing import Callable, Optional
 
 from . import framework
 from .frames import (
-    FRAME_ACK,
     AckFrame,
     HandshakeFrame,
     MAX_PACKET_SIZE,
     PACKET_HEADER_LEN,
     PROTECTED_HEADER_LEN,
     Packet,
+    RangeSet,
     RecoveredFrame,
     STREAM_FRAME_OVERHEAD,
     StreamFrame,
     encode_packet,
-    pack_steps,
     parse_packet,
-    range_list_head,
-    range_steps,
-    step_width,
 )
 from .framework import FecFrame, ReceiverFec, SenderFec
 from .schemes import (
@@ -186,85 +181,6 @@ class ConnectionConfig:
 
 # ---------------------------------------------------------------------------
 # Small sender-side state holders
-
-class RangeSet:
-    """Sorted, disjoint, inclusive integer ranges, held as the flat
-    ascending bounds ``[lo0, hi0, lo1, hi1, ...]``.
-
-    For :meth:`ack_frame` the set keeps the values of every range but the
-    newest, packed at the last width used.  Only the next packet in order
-    leaves them as they are; any other change drops them."""
-
-    def __init__(self) -> None:
-        self.bounds: list[int] = []
-        self._older: Optional[tuple[tuple[int, ...], int]] = None  # values, max
-        self._packed_width = 0
-        self._packed = b""
-
-    def add(self, value: int) -> bool:
-        """Add ``value``; returns whether it was not already covered."""
-        b = self.bounds
-        if b and b[-1] == value - 1:  # the next packet in order
-            b[-1] = value
-            return True
-        i = bisect_right(b, value)
-        if i & 1 or i and b[i - 1] == value:
-            return False  # inside a range, or its top
-        self._older = None
-        if i and b[i - 1] == value - 1:
-            if i < len(b) and b[i] == value + 1:
-                del b[i - 1 : i + 1]  # closes the gap between two ranges
-            else:
-                b[i - 1] = value
-        elif i < len(b) and b[i] == value + 1:
-            b[i] = value
-        else:
-            b[i:i] = (value, value)
-        return True
-
-    def __contains__(self, value: int) -> bool:
-        b = self.bounds
-        i = bisect_right(b, value)
-        return bool(i & 1) or bool(i) and b[i - 1] == value
-
-    def __len__(self) -> int:
-        return len(self.bounds) >> 1
-
-    def ranges(self) -> list[tuple[int, int]]:
-        return list(zip(self.bounds[::2], self.bounds[1::2]))
-
-    def prune(self, max_ranges: int) -> None:
-        """Merge the oldest ranges (closing their gaps) until at most
-        ``max_ranges`` remain."""
-        excess = len(self.bounds) - 2 * max_ranges
-        if excess > 0:
-            del self.bounds[1 : 1 + excess]
-            self._older = None
-
-    @property
-    def largest(self) -> int:
-        if not self.bounds:
-            raise ValueError("empty range set")
-        return self.bounds[-1]
-
-    def ack_frame(self, max_ranges: int) -> AckFrame:
-        """The encoded ACK of the newest ``max_ranges`` ranges."""
-        b = self.bounds
-        top = b[-1]
-        first = top - b[-2]
-        if self._older is None:
-            older = range_steps(b[-2 * max_ranges :])[1:]
-            self._older = older, max(older, default=0)
-            self._packed_width = 0
-        older, older_max = self._older
-        width = step_width(max(first, older_max))
-        if width != self._packed_width:
-            self._packed = pack_steps(width, older)
-            self._packed_width = width
-        count = (len(older) >> 1) + 1
-        head = range_list_head(FRAME_ACK, top, count, width, first)
-        return AckFrame(top, (first, *older), head + self._packed)
-
 
 class RttEstimator:
     """Exponentially smoothed RTT (gain 1/8); the first sample
@@ -797,7 +713,7 @@ class Connection:
                 ranges = RangeSet()
                 for pn in sorted(carried):
                     ranges.add(pn)
-                frames.append(RecoveredFrame.of(ranges.bounds))
+                frames.append(ranges.frame(RecoveredFrame, len(ranges)))
             frames.append(self._ack_frame())
             self._ack_queued = False
             pkt = self._build(now, frames, "feedback")
@@ -845,7 +761,7 @@ class Connection:
         # every subsequent ack.  Keep the newest ranges only.
         received = self._received_pns
         received.prune(2 * ACK_RANGE_CAP)
-        return received.ack_frame(ACK_RANGE_CAP)
+        return received.frame(AckFrame, ACK_RANGE_CAP)
 
     def _build(
         self, now: int, frames: list, kind: str, retransmission: bool = False

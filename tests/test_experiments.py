@@ -81,6 +81,9 @@ def test_lhs_scenarios_rejects_bad_boxes():
     negative = dict(xp.PARAMETER_BOX, one_way_delay_ms=(-300.0, -200.0))
     with pytest.raises(ValueError, match="one_way_delay_ms"):
         xp.lhs_scenarios(1, 3, negative)
+    still = dict(xp.PARAMETER_BOX, loss_p=(0.0, 0.0), loss_r=(0.0, 0.0))
+    with pytest.raises(ValueError, match="^loss_p and loss_r: "):
+        xp.lhs_scenarios(1, 3, still)
 
 
 def test_parse_ranges_file_empty_gives_default_box(tmp_path):
@@ -125,6 +128,9 @@ def test_parse_ranges_file_errors(tmp_path):
         "bandwidth_mbps_min = 1e-7\n": "bandwidth_mbps",  # rounds to 0 bit/s
         "one_way_delay_ms_min = -300\none_way_delay_ms_max = -200\n": "one_way_delay_ms",
         "one_way_delay_ms_max = inf\n": "one_way_delay_ms",
+        "loss_p_min = 0\nloss_p_max = 0\nloss_r_min = 0\nloss_r_max = 0\n": (
+            "loss_p and loss_r"
+        ),
     }
     for i, (text, dimension) in enumerate(out_of_domain.items()):
         path = tmp_path / f"d{i}.txt"
@@ -468,6 +474,28 @@ def test_cli_compare_rejects_ragged_row(tmp_path, extra):
     want = f"ragged.csv:2: expected {len(xp.RUN_COLUMNS)} fields"
     with pytest.raises(SystemExit, match=want):
         cli_main(["compare", "--a", str(ragged), "--b", str(good), "--out", "-"])
+
+
+@pytest.mark.parametrize(
+    "column, value, want",
+    [
+        ("size_bytes", "x", "invalid literal for int"),
+        ("dct_ms", "inf", "cannot convert float infinity"),
+        ("dct_ms", "0.000", "dct_ms 0.000 is not positive"),
+        ("dct_ms", "-1.000", "dct_ms -1.000 is not positive"),
+    ],
+)
+def test_cli_compare_rejects_bad_numbers(tmp_path, column, value, want):
+    """A bad number names its file and line; a DCT that is not positive
+    cannot be a ratio's divisor."""
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    xp.write_run_csv(matrix_records(), str(good))
+    header, row, *rest = good.read_text().splitlines()
+    fields = row.split(",")
+    fields[header.split(",").index(column)] = value
+    bad.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+    with pytest.raises(SystemExit, match=f"bad.csv:2: {want}"):
+        cli_main(["compare", "--a", str(good), "--b", str(bad), "--out", "-"])
 
 
 def test_cli_losstrace_formats(tmp_path):

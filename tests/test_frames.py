@@ -46,7 +46,7 @@ def test_golden_ack_frame():
     # type, top 1000, 3 ranges, 2-byte values; newest first: length 700,
     # then gap 293 (300 - 5 - 2) and length 1, then gap 0 and length 1
     frame = AckFrame.of((1, 2, 4, 5, 300, 1000))
-    assert frame == AckFrame(1000, (700, 293, 1, 0, 1))
+    assert (frame.largest, frame.steps) == (1000, (700, 293, 1, 0, 1))
     assert encode_frame(frame).hex() == (
         "02" "00000000000003e8" "0003" "02" "02bc" "0125" "0001" "0000" "0001"
     )

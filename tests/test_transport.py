@@ -15,8 +15,11 @@ from fecsim.framework import (
 from fecsim.frames import (
     AckFrame,
     HandshakeFrame,
+    PROTECTED_HEADER_LEN,
     Packet,
+    RangeSet,
     RecoveredFrame,
+    STREAM_FRAME_OVERHEAD,
     StreamFrame,
     encode_packet,
     parse_frames,
@@ -33,7 +36,6 @@ from fecsim.transport import (
     NewReno,
     PACKET_REORDER_THRESHOLD,
     ProtocolViolation,
-    RangeSet,
     RecvStream,
     RttEstimator,
     SendStream,
@@ -159,7 +161,7 @@ def test_rangeset_and_ack_bounds_match_set_model(ops, flight):
             assert parsed == ack
             assert parsed.bounds == _flat(newest) == tuple(rs.bounds[-2 * ACK_RANGE_CAP :])
             assert parsed.largest == max(model)
-            assert ack.encoded == AckFrame(ack.largest, ack.steps).encode()
+            assert ack.encoded == AckFrame.of(parsed.bounds).encoded
             assert acked_in_flight(sent, parsed) == [
                 pn for pn in sent if any(lo <= pn <= hi for lo, hi in newest)
             ]
@@ -902,40 +904,66 @@ def test_client_completes_once():
 
 # Well-formed payloads are one symbol wide, so each case fails for its name.
 MALFORMED_REPAIRS = {
-    # name: (code, repair id, nss, nrs, payload bytes)
+    # name: (code, repair id, nss, nrs, payload)
     "rs_index_above_nrs": (
-        FecConfig.rs(3, 2), block_repair_id(0, 5, 5), 2, 1, FEC_SYMBOL_SIZE
+        FecConfig.rs(3, 2), block_repair_id(0, 5, 5), 2, 1, bytes(FEC_SYMBOL_SIZE)
     ),
-    "xor_short_payload": (FecConfig.xor(2), block_repair_id(0, 0, 0), 2, 1, 10),
-    "rs_short_payload": (FecConfig.rs(3, 2), block_repair_id(0, 0, 0), 2, 1, 10),
-    "rlc_short_payload": (FecConfig.rlc(3, 2, 4), conv_repair_id(0, 7), 2, 1, 10),
+    "xor_short_payload": (FecConfig.xor(2), block_repair_id(0, 0, 0), 2, 1, bytes(10)),
+    "rs_short_payload": (FecConfig.rs(3, 2), block_repair_id(0, 0, 0), 2, 1, bytes(10)),
+    "rlc_short_payload": (FecConfig.rlc(3, 2, 4), conv_repair_id(0, 7), 2, 1, bytes(10)),
     "rs_more_than_256_symbols": (
-        FecConfig.rs(3, 2), block_repair_id(0, 0, 0), 2, 255, FEC_SYMBOL_SIZE
+        FecConfig.rs(3, 2), block_repair_id(0, 0, 0), 2, 255, bytes(FEC_SYMBOL_SIZE)
     ),
     "rlc_no_sources": (
-        FecConfig.rlc(3, 2, 4), conv_repair_id(0, 7), 0, 1, FEC_SYMBOL_SIZE
+        FecConfig.rlc(3, 2, 4), conv_repair_id(0, 7), 0, 1, bytes(FEC_SYMBOL_SIZE)
     ),
     "rlc_window_wider_than_code": (
-        FecConfig.rlc(3, 2, 4), conv_repair_id(0, 7), 5, 1, FEC_SYMBOL_SIZE
+        FecConfig.rlc(3, 2, 4), conv_repair_id(0, 7), 5, 1, bytes(FEC_SYMBOL_SIZE)
     ),
     "xor_no_sources": (
-        FecConfig.xor(2), block_repair_id(0, 0, 0), 0, 1, FEC_SYMBOL_SIZE
+        FecConfig.xor(2), block_repair_id(0, 0, 0), 0, 1, bytes(FEC_SYMBOL_SIZE)
+    ),
+    # a forged payload: the source it rebuilds has a length prefix past
+    # the symbol
+    "xor_rebuilds_a_corrupt_symbol": (
+        FecConfig.xor(2), block_repair_id(0, 0, 0), 2, 1, b"\xff" * FEC_SYMBOL_SIZE
+    ),
+    "rs_rebuilds_a_corrupt_symbol": (
+        FecConfig.rs(3, 2), block_repair_id(0, 0, 0), 2, 1, b"\xff" * FEC_SYMBOL_SIZE
+    ),
+    "rlc_rebuilds_a_corrupt_symbol": (
+        FecConfig.rlc(3, 2, 4), conv_repair_id(0, 7), 2, 1, b"\xff" * FEC_SYMBOL_SIZE
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_REPAIRS))
 def test_malformed_repair_frame_raises_malformed_frame(case):
-    """A repair frame whose shape the announced code cannot have is the
-    peer's fault: a typed error, never a stray IndexError or ValueError
-    from the decoder."""
-    fec, repair_id, nss, nrs, size = MALFORMED_REPAIRS[case]
+    """A repair frame whose shape the announced code cannot have, or that
+    rebuilds a source no packet could have been, is the peer's fault: a
+    typed error, never a stray IndexError or ValueError from the decoder."""
+    fec, repair_id, nss, nrs, payload = MALFORMED_REPAIRS[case]
     cli = fec_client(ConnectionConfig(fec=fec))
     source = StreamFrame(0, 0, False, pattern_bytes(0, 100))
     deliver(cli, Packet(2, [source], True, 0), 2000)  # source symbol 0 of block 0
-    repair = FecFrame(True, 0, repair_id, nss, nrs, bytes(size))
+    repair = FecFrame(True, 0, repair_id, nss, nrs, payload)
     with pytest.raises(MalformedFrame):
         deliver(cli, Packet(3, [repair]), 2100)
+
+
+@pytest.mark.parametrize("code", ["rs", "rlc", "xor"])
+def test_protected_packet_wider_than_a_symbol_raises_malformed_frame(code):
+    """A protected packet of 1,199 bytes does not fit a symbol of
+    ``FEC_SYMBOL_SIZE`` bytes: the peer's fault, not a ValueError from the
+    coding layer."""
+    fec = {"rs": FecConfig.rs(3, 2), "rlc": FecConfig.rlc(3, 2, 4), "xor": FecConfig.xor(2)}
+    cli = fec_client(ConnectionConfig(fec=fec[code]))
+    data = MAX_PACKET_SIZE - 1 - PROTECTED_HEADER_LEN - STREAM_FRAME_OVERHEAD
+    source = StreamFrame(0, 0, False, pattern_bytes(0, data))
+    packet = encode_packet(Packet(2, [source], True, 0))
+    assert len(packet) == MAX_PACKET_SIZE - 1
+    with pytest.raises(MalformedFrame):
+        cli.on_datagram(packet, 2000)
 
 
 def test_repair_reannouncing_its_block_shape_raises_malformed_frame():
