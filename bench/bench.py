@@ -37,6 +37,10 @@ The JSON records:
   width the perfbench ``codec`` workload codes at.  The transport codes
   at ``FEC_SYMBOL_SIZE`` (1168 bytes) so that a repair symbol fits one
   repair frame; the row cost scales with the width;
+* ``receiver_state``: the bytes ``tracemalloc`` sees a ``ReceiverFec``
+  gain from its 2,000th to its 20,000th source, for each of the harness
+  codes xor, rs and rlc, with every 50th source lost and every repair fed.
+  A receiver whose state is bounded by its code gains about nothing;
 * ``outputs``: the sha256, the heap events (the sum of
   ``Simulator.events_run`` over the run) and the host time of one
   ``fecsim run --seed 0`` and one ``fecsim fairness --seed 0 --count 1``.
@@ -56,6 +60,7 @@ import sys
 import tempfile
 import time
 import timeit
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -65,6 +70,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from fecsim import cli, experiments, gf256, schemes  # noqa: E402
+from fecsim.framework import ReceiverFec, SenderFec  # noqa: E402
 from fecsim.netem import GilbertElliottLoss, Simulator  # noqa: E402
 from fecsim.frames import (  # noqa: E402
     AckFrame,
@@ -94,6 +100,8 @@ RS = schemes.BlockCodeParams(30, 20)
 RS_ERASED = 10
 WINDOW = 20
 RLC_SEED = 0xBEEF
+RECEIVER_SPAN = (2_000, 20_000)
+RECEIVER_LOSS_EVERY = 50
 
 
 def ack_with_gaps(ranges: int = RANGES) -> AckFrame:
@@ -269,6 +277,46 @@ def coding_micro() -> dict:
     }
 
 
+def receiver_state() -> dict:
+    """The receiver-state entries.  The sender's state is bounded and its
+    repairs are dropped once fed, so the growth is the receiver's.  The
+    span is long because the RLC decoder sweeps its old symbols every 256
+    calls, which moves a single reading by up to about 330 KB."""
+    first, last = RECEIVER_SPAN
+    out = {}
+    for code in ("xor", "rs", "rlc"):
+        cfg = experiments.VARIANTS[code]
+        sender = SenderFec(cfg.scheme, cfg.make_params(), SYMBOL)
+        if cfg.lanes > 1:
+            sender.configure_lanes(cfg.lanes)
+        receiver = ReceiverFec(cfg.scheme, SYMBOL, window=max(1, cfg.window))
+        recovered = 0
+        tracemalloc.start()
+        try:
+            for i in range(last):
+                if i == first:
+                    start = tracemalloc.get_traced_memory()[0]
+                packet = i.to_bytes(4, "big") * 300
+                raw = sender.next_source_id()
+                sender.commit_source(raw, packet)
+                if i % RECEIVER_LOSS_EVERY != RECEIVER_LOSS_EVERY - 1:
+                    recovered += len(receiver.on_source_symbol(raw, packet))
+                for frame in sender.pending:
+                    recovered += len(receiver.on_fec_frame(frame))
+                sender.pending.clear()
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        if recovered != last // RECEIVER_LOSS_EVERY:
+            raise SystemExit(f"{code}: the receiver must rebuild every lost source")
+        out[f"framework.receiver_growth_{code}"] = {
+            "bytes": grown,
+            "sources": [first, last],
+            "recovered": recovered,
+        }
+    return out
+
+
 def bench_call(fn, number: int = 2000, repeat: int = 15) -> dict:
     per_call = [
         t / number * 1e6 for t in timeit.repeat(fn, number=number, repeat=repeat)
@@ -319,6 +367,7 @@ def main() -> int:
             **packet_micro(),
             **netem_micro(),
         },
+        "receiver_state": receiver_state(),
         "outputs": {
             "run_csv_seed0": cli_output(["run", "--seed", "0"]),
             "fairness_csv_seed0": cli_output(

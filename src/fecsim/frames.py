@@ -91,9 +91,12 @@ def _step_width(value: int) -> int:
 def _range_steps(bounds) -> tuple[int, ...]:
     """The values of ascending flat inclusive bounds ``(lo0, hi0, lo1, hi1,
     ...)``, newest first.  Raises ``ValueError`` for ranges that cannot be
-    written: none, inverted, out of order, overlapping or touching."""
+    written: none, unpaired, inverted, out of order, overlapping or
+    touching."""
     if not bounds:
         raise ValueError("a range list needs a range")
+    if len(bounds) & 1:
+        raise ValueError(f"bounds {bounds} do not pair into ranges")
     steps = [bounds[-1] - bounds[-2]]
     for i in range(len(bounds) - 3, 0, -2):  # bounds[i] tops an older range
         steps += (bounds[i + 1] - bounds[i] - 2, bounds[i] - bounds[i - 1])
@@ -145,9 +148,6 @@ class RangeSet:
     def __len__(self) -> int:
         return len(self.bounds) >> 1
 
-    def ranges(self) -> list[tuple[int, int]]:
-        return list(zip(self.bounds[::2], self.bounds[1::2]))
-
     def prune(self, max_ranges: int) -> None:
         """Merge the oldest ranges (closing their gaps) until at most
         ``max_ranges`` remain."""
@@ -155,12 +155,6 @@ class RangeSet:
         if excess > 0:
             del self.bounds[1 : 1 + excess]
             self._older = None
-
-    @property
-    def largest(self) -> int:
-        if not self.bounds:
-            raise ValueError("empty range set")
-        return self.bounds[-1]
 
     def frame(self, kind: type[_RangeList], max_ranges: int) -> _RangeList:
         """The ``kind`` frame (:class:`AckFrame` or :class:`RecoveredFrame`)
@@ -209,7 +203,7 @@ class _RangeList:
         """The frame of ascending flat inclusive bounds."""
         ranges = RangeSet()
         ranges.bounds = list(bounds)
-        return ranges.frame(cls, len(ranges))
+        return ranges.frame(cls, len(bounds))  # all of them: an unpaired one is refused
 
     def newest_first(self):
         """The inclusive (lo, hi) ranges, newest first."""

@@ -9,7 +9,8 @@ This module owns everything between the transport and the raw codes:
   (``F`` set, chunk 0), which the transport sends as it is,
 * :func:`chunk_repair`, which splits a symbol wider than one frame's
   payload into chunks, and the receiver-side reassembly of such chunks,
-* receiver-side recovery bookkeeping.
+* receiver-side recovery, with state bounded by the code: at most
+  ``ReceiverFec.BLOCK_BACKLOG`` blocks, or the RLC horizon plus one window.
 
 Payload id layouts.  Block codes split the 32-bit source id into a
 24-bit block number and an 8-bit offset inside the block; convolutional
@@ -288,10 +289,12 @@ class SenderFec:
             if len(self._lane_symbols[lane]) >= self.params.k:
                 self._emit_block(lane)
 
-    def flush(self) -> None:
-        """Close partial blocks / window steps (end of stream)."""
+    def flush(self) -> bool:
+        """Close partial blocks / window steps (end of stream); returns
+        whether that queued any repair."""
         if self._pending_id is not None:
             raise FecFrameworkError("cannot flush with an uncommitted source")
+        queued = len(self.pending)
         if self.scheme == SCHEME_RLC:
             if self._since_step and self._window:
                 self._emit_window_repairs()
@@ -299,12 +302,7 @@ class SenderFec:
             for lane in range(self.lanes):
                 if self._lane_symbols[lane]:
                     self._emit_block(lane)
-
-    @property
-    def has_partial(self) -> bool:
-        if self.scheme == SCHEME_RLC:
-            return self._since_step > 0 and bool(self._window)
-        return any(self._lane_symbols)
+        return len(self.pending) > queued
 
     # -- emission ---------------------------------------------------------
 
@@ -377,19 +375,23 @@ class _BlockState:
 class ReceiverFec:
     """Buffers received source/repair symbols and drives recovery.
 
-    Returns recovered packets as ``(source id, packet bytes)`` pairs; a
-    packet that was actually received is never reported (and recovery of
-    the same id is reported at most once).  A block's first repair pins its
-    code shape ``(nss, nrs)``.  Block state is discarded when the block
-    completes, after which its late symbols are dropped, or falls 64
-    blocks behind; convolutional state eviction is delegated to
-    :class:`~fecsim.schemes.RlcDecoder`.  A repair symbol split over
-    several frames is buffered until its last chunk arrives, and dropped
-    with its block or once its window falls out of the RLC decoder.  A
-    block code buffers at most one such symbol per (block, index): a
-    second repair id there raises :class:`MalformedFrame`.  RLC buffers at
-    most :data:`~fecsim.schemes.RLC_EVICT_WINDOWS` windows' worth of them,
-    one per source the decoder keeps, and drops the oldest first.
+    Returns recovered packets as ``(source id, packet bytes)`` pairs, never
+    one that arrived and each at most once, since the decoders are the one
+    record of held sources.  Block codes solve only offsets missing from
+    ``_BlockState.sources`` and write them back there; a block that
+    completes or falls ``BLOCK_BACKLOG`` blocks behind becomes None, which
+    drops its late symbols.  ``RlcDecoder.add_source`` ignores an offset it
+    holds or one below its horizon; every equation unknown is at or above
+    the horizon, known symbols are substituted out of every equation, and
+    symbols are swept only below the horizon minus one window.  So state is
+    bounded by the code: ``BLOCK_BACKLOG`` blocks, or the RLC horizon plus
+    one window.  A block's first repair pins its code shape ``(nss, nrs)``.
+    A repair symbol split over several frames is buffered until its last
+    chunk arrives, and dropped with its block or once its window falls out
+    of the RLC decoder.  A block code buffers at most one such symbol per
+    (block, index): a second repair id there raises :class:`MalformedFrame`.
+    RLC buffers at most :data:`~fecsim.schemes.RLC_EVICT_WINDOWS` windows'
+    worth of them, one per source the decoder keeps, and drops the oldest.
     """
 
     BLOCK_BACKLOG = 64
@@ -401,8 +403,6 @@ class ReceiverFec:
         self.symbol_size = symbol_size
         # partial repairs by repair id (RLC) or by its (block, index) half
         self._reassembly: dict[int, _PartialRepair] = {}
-        self._received: set[int] = set()
-        self._recovered: set[int] = set()
         # None marks a completed block until it falls behind the backlog
         self._blocks: dict[int, Optional[_BlockState]] = {}
         self._newest_block = -1
@@ -420,9 +420,6 @@ class ReceiverFec:
             raise MalformedFrame(
                 f"{len(packet_bytes)}-byte packet in a {self.symbol_size}-byte symbol"
             )
-        if raw_id in self._received:
-            return []
-        self._received.add(raw_id)
         symbol = frame_symbol(packet_bytes, self.symbol_size)
         if self.scheme == SCHEME_RLC:
             recovered = self._rlc.add_source(raw_id, symbol)
@@ -599,13 +596,11 @@ class ReceiverFec:
         self._evict_partials()
 
     def _emit(self, pairs: list[tuple[int, np.ndarray]]) -> list[tuple[int, bytes]]:
+        """Unframe each rebuilt symbol back into its packet."""
         out = []
         for raw_id, symbol in pairs:
-            if raw_id in self._received or raw_id in self._recovered:
-                continue
             try:
                 out.append((raw_id, unframe_symbol(symbol)))
             except schemes.FecSchemeError as exc:  # rebuilt from forged repairs
                 raise MalformedFrame(f"source {raw_id:#x} rebuilt as a {exc}") from None
-            self._recovered.add(raw_id)
         return out

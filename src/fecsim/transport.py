@@ -498,7 +498,8 @@ class Connection:
 
     def _on_recovered(self, recovered: list[tuple[int, bytes]], now: int) -> None:
         """Take in the packets the decoder rebuilt.  ``ReceiverFec`` reports
-        each one at most once and never one that arrived."""
+        each one at most once and never one that arrived: its decoders
+        solve only the sources they do not hold."""
         for _src_id, packet_bytes in recovered:
             pkt = parse_packet(packet_bytes)
             pn = pkt.packet_number
@@ -749,11 +750,9 @@ class Connection:
             or not self._send_stream.fin_sent
             or self._retransmit
             or self._probe_frames is not None
-            or not self._sender_fec.has_partial
         ):
             return False
-        self._sender_fec.flush()
-        return bool(self._sender_fec.pending)
+        return self._sender_fec.flush()
 
     def _ack_frame(self) -> AckFrame:
         # Old gaps are final on a FIFO path: the sender has long since

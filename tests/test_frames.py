@@ -139,6 +139,8 @@ def test_lowest_range_may_start_at_zero():
         pytest.param((1, 3, 3, 5), id="shared_endpoint"),
         pytest.param((1, 3, 4, 5), id="touching"),
         pytest.param((), id="no_ranges"),
+        pytest.param((1, 2, 3), id="unpaired_bound"),
+        pytest.param((5,), id="lone_bound"),
     ],
 )
 def test_unwritable_range_lists_are_refused(bounds):

@@ -172,10 +172,10 @@ def test_rs_sender_emits_repairs_at_block_completion():
     for i in range(3):
         source_ids.append(push_packet(sender, random_packet(rnd)))
         assert sender.pending == []
-    assert sender.has_partial
     source_ids.append(push_packet(sender, random_packet(rnd)))
     assert len(sender.pending) == 2
-    assert not sender.has_partial
+    assert not sender.flush()  # the full block left nothing to close
+    assert len(sender.pending) == 2
     ids = [split_repair_id(p.repair_id) for p in sender.pending]
     assert [split_block_source_id(hi) for hi, _ in ids] == [(0, 0), (0, 1)]
     assert all((p.nss, p.nrs) == (4, 2) for p in sender.pending)
@@ -190,10 +190,11 @@ def test_rs_sender_flush_closes_partial_block():
     sender = make_sender(SCHEME_REED_SOLOMON, BlockCodeParams(6, 4))
     push_packet(sender, random_packet(rnd))
     push_packet(sender, random_packet(rnd))
-    sender.flush()
+    assert sender.flush()
     assert len(sender.pending) == 2  # repair count is kept, nss shrinks
     assert all(p.nss == 2 for p in sender.pending)
-    assert not sender.has_partial
+    assert not sender.flush()
+    assert len(sender.pending) == 2
 
 
 def test_rlc_sender_emits_every_kth_source():
@@ -225,10 +226,9 @@ def test_rlc_sender_flush_emits_trailing_repair():
     for _ in range(3):
         push_packet(sender, random_packet(rnd))
     before = len(sender.pending)
-    assert sender.has_partial
-    sender.flush()
+    assert sender.flush()
     assert len(sender.pending) == before + 1
-    sender.flush()  # idempotent once the step is closed
+    assert not sender.flush()  # idempotent once the step is closed
     assert len(sender.pending) == before + 1
 
 
@@ -406,7 +406,7 @@ def test_receiver_pins_block_shape_at_first_repair():
 
 def test_receiver_rejects_a_source_outside_its_block_shape():
     """A source id past the block's announced source count is the peer's
-    fault, whichever of the two arrives first."""
+    fault, whichever of the two arrives first, and every copy of it is."""
     rnd = random.Random(39)
     packets = [random_packet(rnd) for _ in range(3)]
     sender = make_sender(SCHEME_REED_SOLOMON, BlockCodeParams(5, 3))
@@ -421,8 +421,9 @@ def test_receiver_rejects_a_source_outside_its_block_shape():
         receiver.on_fec_frame(frame)
     receiver = ReceiverFec(SCHEME_REED_SOLOMON, SYMBOL)
     receiver.on_fec_frame(frame)
-    with pytest.raises(MalformedFrame, match="source 4 of a block of 3"):
-        receiver.on_source_symbol(stray, b"stray")
+    for _ in range(2):
+        with pytest.raises(MalformedFrame, match="source 4 of a block of 3"):
+            receiver.on_source_symbol(stray, b"stray")
 
 
 def test_receiver_rejects_a_chunk_past_the_final_chunk():
@@ -756,3 +757,36 @@ def coded_stream_digests(code):
 def test_repair_payload_bytes_are_pinned(code):
     """A change to the GF(2^8) row kernels must reproduce these bytes."""
     assert coded_stream_digests(code) == PINNED_DIGESTS[code]
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.02])
+@pytest.mark.parametrize("code", sorted(PINNED_CODES))
+def test_receiver_state_stays_bounded_over_a_long_stream(code, loss):
+    """Over 20,000 sources, with every repair fed, no container that
+    ReceiverFec or its RLC decoder holds grows past 1,000 entries: the
+    state is bounded by the code, not by the length of the stream."""
+    scheme, params, lanes, window = PINNED_CODES[code]
+    rnd = random.Random(f"bounded-{code}-{loss}")
+    sender = make_sender(scheme, params)
+    if lanes > 1:
+        sender.configure_lanes(lanes)
+    receiver = ReceiverFec(scheme, SYMBOL, window=window)
+    recovered = 0
+    for i in range(20_000):
+        packet = i.to_bytes(4, "big")
+        raw = push_packet(sender, packet)
+        if rnd.random() >= loss:
+            recovered += len(receiver.on_source_symbol(raw, packet))
+        for pending in sender.pending:
+            recovered += len(receiver.on_fec_frame(pending))
+        sender.pending.clear()
+        if i % 1000 == 999:
+            holders = [h for h in (receiver, receiver._rlc) if h is not None]
+            sizes = {
+                name: len(value)
+                for holder in holders
+                for name, value in vars(holder).items()
+                if isinstance(value, (dict, list, set))
+            }
+            assert max(sizes.values()) <= 1000, sizes
+    assert (recovered > 0) == (loss > 0)

@@ -69,13 +69,12 @@ def test_rangeset_add_merge_contains():
     rs = RangeSet()
     for v in (1, 2, 4, 5):
         rs.add(v)
-    assert rs.ranges() == [(1, 2), (4, 5)]
+    assert rs.bounds == [1, 2, 4, 5]
     assert 2 in rs and 3 not in rs
     rs.add(3)
-    assert rs.ranges() == [(1, 5)]
+    assert rs.bounds == [1, 5]
     rs.add(3)  # duplicate is a no-op
-    assert rs.ranges() == [(1, 5)]
-    assert rs.largest == 5
+    assert rs.bounds == [1, 5]
     assert len(rs) == 1
 
 
@@ -84,14 +83,8 @@ def test_rangeset_prune_merges_oldest_gaps():
     for v in (1, 2, 4, 5, 7, 8, 10, 11):
         rs.add(v)
     rs.prune(2)
-    assert rs.ranges() == [(1, 8), (10, 11)]
-    assert rs.largest == 11
+    assert rs.bounds == [1, 8, 10, 11]
     assert 6 in rs  # the closed gap is now covered
-
-
-def test_rangeset_empty_largest_raises():
-    with pytest.raises(ValueError):
-        RangeSet().largest
 
 
 def _model_ranges(values):
