@@ -244,13 +244,13 @@ def lhs_scenarios(
 
 def _check_box(box: Mapping[str, tuple[float, float]]) -> None:
     """Raise ``ValueError`` naming the first dimension whose bounds are
-    inverted, not finite or outside its domain: probabilities lie in
-    [0, 1], the bandwidth is at least 1 bit/s and the delay is not negative.
+    inverted or outside its domain: probabilities lie in [0, 1]; bandwidth
+    (at least 1 bit/s) and delay (not negative) stay finite in bit/s and us.
     A loss chain moves only if ``loss_p`` or ``loss_r`` can be positive."""
     for name, (lo, hi) in box.items():
         if lo > hi:
             raise ValueError(f"{name}: min {lo} exceeds max {hi}")
-        top = 1.0 if name.startswith("loss_") else sys.float_info.max
+        top = 1.0 if name.startswith("loss_") else sys.float_info.max / 1e6
         if not 0.0 <= lo <= hi <= top or (name == "bandwidth_mbps" and lo * 1e6 < 1.0):
             raise ValueError(f"{name}: bounds {lo} and {hi} leave the dimension's domain")
     if box["loss_p"][1] + box["loss_r"][1] <= 0.0:

@@ -38,12 +38,12 @@ The receiver keeps the packet numbers it received in a
 :class:`~fecsim.frames.RangeSet` and acknowledges the newest
 :data:`ACK_RANGE_CAP` ranges.  :mod:`fecsim.frames` owns the range-list
 layout (RFC 9000 section 19.3) and its one encoder, ``RangeSet.frame``,
-with the set's cache of packed older values.  The sender walks an
-ACK newest first and stops below its oldest packet in flight
-(:func:`acked_in_flight`).  That layout cannot express ranges out of order,
-overlapping or touching, nor a largest acknowledged above its ranges; an
-ACK or Recovered frame that names an unsent packet raises
-:class:`ProtocolViolation`.
+with the set's cache of packed older values.  The sender reads ACK and
+Recovered frames with one walk, newest range first, that stops below its
+oldest packet in flight (:func:`listed_in_flight`).  That layout cannot
+express ranges out of order, overlapping or touching, nor a largest
+acknowledged above its ranges; an ACK or Recovered frame that names an
+unsent packet raises :class:`ProtocolViolation`.
 """
 
 from __future__ import annotations
@@ -183,11 +183,11 @@ class ConnectionConfig:
 # Small sender-side state holders
 
 class RttEstimator:
-    """Exponentially smoothed RTT (gain 1/8); the first sample
-    replaces the initial estimate outright."""
+    """Exponentially smoothed RTT (gain 1/8), starting at
+    :data:`INITIAL_RTT_US`; the first sample replaces it outright."""
 
-    def __init__(self, initial_us: int = INITIAL_RTT_US):
-        self._srtt = float(initial_us)
+    def __init__(self):
+        self._srtt = float(INITIAL_RTT_US)
         self.has_sample = False
 
     def add_sample(self, rtt_us: int) -> None:
@@ -204,24 +204,19 @@ class RttEstimator:
 
 
 class NewReno:
-    """New Reno congestion control.
+    """New Reno congestion control over packets of :data:`MAX_PACKET_SIZE`.
 
-    Slow start adds the acked bytes to the window; congestion avoidance
-    adds max_packet * acked / cwnd.  A loss (or a peer-recovered signal)
-    halves the window at most once per round trip: packets sent before
-    the last reduction do not trigger another one and do not grow the
-    window while recovery lasts.
+    The window starts at :data:`INITIAL_CWND_PACKETS` packets and never
+    falls below :data:`MIN_CWND_PACKETS`.  Slow start adds the acked bytes
+    to it; congestion avoidance adds a packet * acked / cwnd.  A loss (or a
+    peer-recovered signal) halves it at most once per round trip: packets
+    sent before the last reduction do not trigger another one and do not
+    grow the window while recovery lasts.
     """
 
-    def __init__(
-        self,
-        max_packet: int,
-        initial_packets: int = INITIAL_CWND_PACKETS,
-        min_packets: int = MIN_CWND_PACKETS,
-    ):
-        self.max_packet = max_packet
-        self.min_window = float(min_packets * max_packet)
-        self.cwnd = float(initial_packets * max_packet)
+    def __init__(self):
+        self.min_window = float(MIN_CWND_PACKETS * MAX_PACKET_SIZE)
+        self.cwnd = float(INITIAL_CWND_PACKETS * MAX_PACKET_SIZE)
         self.ssthresh = math.inf
         self._recovery_start: float = -1.0
 
@@ -235,7 +230,7 @@ class NewReno:
         if self.in_slow_start:
             self.cwnd += nbytes
         else:
-            self.cwnd += self.max_packet * nbytes / self.cwnd
+            self.cwnd += MAX_PACKET_SIZE * nbytes / self.cwnd
 
     def on_loss(self, sent_time_us: int, now_us: int) -> bool:
         """Returns True when this loss starts a new reduction round."""
@@ -267,10 +262,6 @@ class SendStream:
         self.next_offset = 0
         self.fin_sent = False
 
-    @property
-    def has_pending(self) -> bool:
-        return not self.fin_sent
-
     def next_frame(self, max_data: int) -> StreamFrame:
         n = min(max_data, self.total - self.next_offset)
         offset = self.next_offset
@@ -283,20 +274,16 @@ class SendStream:
 class RecvStream:
     """In-order reassembly with duplicate suppression.
 
-    Delivered bytes are discarded unless ``keep_data`` is set (the server
-    keeps the tiny request; the client only checks the response pattern).
+    Delivered bytes are kept in ``data`` (the server's tiny request) unless
+    ``expect_fn`` checks them instead (the client's response pattern).
     """
 
-    def __init__(
-        self,
-        expect_fn: Optional[Callable[[int, int], bytes]] = None,
-        keep_data: bool = False,
-    ):
+    def __init__(self, expect_fn: Optional[Callable[[int, int], bytes]] = None):
         self._segments: dict[int, bytes] = {}
         self.cursor = 0
         self.final_size: Optional[int] = None
         self._expect_fn = expect_fn
-        self.data: Optional[bytearray] = bytearray() if keep_data else None
+        self.data: Optional[bytearray] = bytearray() if expect_fn is None else None
 
     @property
     def complete(self) -> bool:
@@ -329,11 +316,10 @@ class RecvStream:
             chunk = segments.pop(start)[self.cursor - start :]
             if not chunk:
                 continue
-            if self._expect_fn is not None:
-                if chunk != self._expect_fn(self.cursor, len(chunk)):
-                    raise ProtocolViolation(f"stream corruption at offset {self.cursor}")
             if self.data is not None:
                 self.data.extend(chunk)
+            elif chunk != self._expect_fn(self.cursor, len(chunk)):
+                raise ProtocolViolation(f"stream corruption at offset {self.cursor}")
             self.cursor += len(chunk)
 
 
@@ -408,7 +394,7 @@ class Connection:
         self._retransmit: deque = deque()
         self._probe_frames: Optional[list] = None
         self._send_stream: Optional[SendStream] = None
-        self._cc = NewReno(MAX_PACKET_SIZE)
+        self._cc = NewReno()
         self._rtt = RttEstimator()
         self._hole_since: dict[int, int] = {}
         self._tlp_anchor: Optional[int] = None
@@ -417,10 +403,7 @@ class Connection:
         self._received_pns = RangeSet()
         self._recovered_pending: set[int] = set()
         self._ack_queued = False
-        self._recv_stream = RecvStream(
-            expect_fn=pattern_bytes if role == "client" else None,
-            keep_data=role == "server",
-        )
+        self._recv_stream = RecvStream(pattern_bytes if role == "client" else None)
 
         self._handshake_done = False
         self.complete_at_us: Optional[int] = None
@@ -551,7 +534,7 @@ class Connection:
         largest = ack.largest
         if largest >= self._next_pn:
             raise ProtocolViolation(f"peer acked unsent packet {largest}")
-        newly = acked_in_flight(self._sent, ack)
+        newly = listed_in_flight(self._sent, ack)
         if newly:
             largest_new = newly[-1]
             if largest_new == largest:
@@ -576,20 +559,16 @@ class Connection:
     def _on_recovered_frame(self, frame: RecoveredFrame, now: int) -> None:
         if frame.largest >= self._next_pn:
             raise ProtocolViolation(f"peer recovered unsent packet {frame.largest}")
-        listed = set()
-        for lo, hi in frame.newest_first():
-            listed.update(range(lo, hi + 1))
         # the peer has the data: drop any retransmission still queued for
         # these packets, even if they were already declared lost
         if self._retransmit:
-            kept = deque(
+            listed = RangeSet()
+            listed.bounds = list(frame.bounds)
+            self._retransmit = deque(
                 item for item in self._retransmit if item[0] not in listed
             )
-            if len(kept) != len(self._retransmit):
-                self._retransmit = kept
-        for pn in sorted(listed):
-            if pn not in self._sent:
-                continue  # already acked, lost or recovered: ignore
+        # packets already acked, lost or recovered are not in flight: ignored
+        for pn in listed_in_flight(self._sent, frame):
             rec = self._retire(pn)
             self.stats.peer_recovered_packets += 1
             self._trace("peer_recovered", pn, "")
@@ -661,7 +640,7 @@ class Connection:
             self._trace("tlp_probe", newest.packet_number, "resend")
         elif (
             self._send_stream is not None
-            and self._send_stream.has_pending
+            and not self._send_stream.fin_sent
             and self._handshake_done
         ):
             self._probe_frames = [self._send_stream.next_frame(self._stream_budget)]
@@ -736,7 +715,7 @@ class Connection:
             kind = "stream" if type(frame) is StreamFrame else "hs"
             return self._build(now, [frame], kind, retransmission=True)
         stream = self._send_stream
-        if stream is not None and stream.has_pending and self._handshake_done:
+        if stream is not None and not stream.fin_sent and self._handshake_done:
             if not self._cwnd_ok():
                 return None
             return self._build(now, [stream.next_frame(self._stream_budget)], "stream")
@@ -801,16 +780,20 @@ class Connection:
         return OutPacket(data, pn, kind)
 
 
-def acked_in_flight(sent: dict[int, SentRecord], ack: AckFrame) -> list[int]:
-    """The packet numbers in ``sent`` that ``ack`` covers, ascending.
+def listed_in_flight(
+    sent: dict[int, SentRecord], frame: AckFrame | RecoveredFrame
+) -> list[int]:
+    """The packet numbers in ``sent`` that ``frame`` lists, ascending: the
+    sender's one reader of range lists, through which ACK and Recovered
+    frames both retire the flight.
 
     ``sent`` is keyed in send order, so its first and last keys bound the
     flight.  The walk takes the ranges newest first, skips those above the
     newest packet in flight and stops at the first below the oldest.  Each
     range is clipped to the flight and probed once per packet number,
     unless it is still wider than the flight (an old range merged by
-    :meth:`RangeSet.prune`); then the flight is filtered instead.  The
-    cost follows the ranges and the acked packets, not flight x ranges.
+    :meth:`RangeSet.prune`); then the flight is filtered instead.  A range
+    costs at most the smaller of its width and the flight.
     """
     if not sent:
         return []
@@ -818,7 +801,7 @@ def acked_in_flight(sent: dict[int, SentRecord], ack: AckFrame) -> list[int]:
     last = next(reversed(sent))
     flight = len(sent)
     out: list[int] = []  # descending until the end
-    for lo, hi in ack.newest_first():
+    for lo, hi in frame.newest_first():
         if hi < first:
             break
         if lo > last:

@@ -84,6 +84,11 @@ def test_lhs_scenarios_rejects_bad_boxes():
     still = dict(xp.PARAMETER_BOX, loss_p=(0.0, 0.0), loss_r=(0.0, 0.0))
     with pytest.raises(ValueError, match="^loss_p and loss_r: "):
         xp.lhs_scenarios(1, 3, still)
+    # finite in ms and Mbit/s, but infinite in us and bit/s
+    huge = {"one_way_delay_ms": (100.0, 1e306), "bandwidth_mbps": (1e303, 1e303)}
+    for name, bounds in huge.items():
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            xp.lhs_scenarios(1, 3, dict(xp.PARAMETER_BOX, **{name: bounds}))
 
 
 def test_parse_ranges_file_empty_gives_default_box(tmp_path):
@@ -128,6 +133,8 @@ def test_parse_ranges_file_errors(tmp_path):
         "bandwidth_mbps_min = 1e-7\n": "bandwidth_mbps",  # rounds to 0 bit/s
         "one_way_delay_ms_min = -300\none_way_delay_ms_max = -200\n": "one_way_delay_ms",
         "one_way_delay_ms_max = inf\n": "one_way_delay_ms",
+        "one_way_delay_ms_max = 1e306\n": "one_way_delay_ms",  # infinite in us
+        "bandwidth_mbps_min = 1e303\nbandwidth_mbps_max = 1e303\n": "bandwidth_mbps",
         "loss_p_min = 0\nloss_p_max = 0\nloss_r_min = 0\nloss_r_max = 0\n": (
             "loss_p and loss_r"
         ),

@@ -1,6 +1,8 @@
 """Transport state machine: congestion control, loss detection, recovery
 signaling, stream reassembly."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -43,7 +45,7 @@ from fecsim.transport import (
     STRATEGY_NO_ACK,
     STRATEGY_SILENT_ACK,
     TLP_SRTT_MULTIPLIER,
-    acked_in_flight,
+    listed_in_flight,
     pattern_bytes,
     pattern_request_size,
 )
@@ -155,7 +157,7 @@ def test_rangeset_and_ack_bounds_match_set_model(ops, flight):
             assert parsed.bounds == _flat(newest) == tuple(rs.bounds[-2 * ACK_RANGE_CAP :])
             assert parsed.largest == max(model)
             assert ack.encoded == AckFrame.of(parsed.bounds).encoded
-            assert acked_in_flight(sent, parsed) == [
+            assert listed_in_flight(sent, parsed) == [
                 pn for pn in sent if any(lo <= pn <= hi for lo, hi in newest)
             ]
         assert rs.bounds == list(_flat(_model_ranges(model)))
@@ -165,7 +167,7 @@ def test_rangeset_and_ack_bounds_match_set_model(ops, flight):
 
 
 def test_rtt_first_sample_replaces_initial():
-    rtt = RttEstimator(100_000)
+    rtt = RttEstimator()
     assert rtt.srtt_us == 100_000
     rtt.add_sample(262_000)
     assert rtt.srtt_us == 262_000
@@ -179,7 +181,7 @@ def test_rtt_smoothing_gains():
 
 
 def test_newreno_slow_start_doubles_per_round():
-    cc = NewReno(1200, initial_packets=10)
+    cc = NewReno()
     assert cc.cwnd == 12_000
     assert cc.in_slow_start
     for _ in range(10):
@@ -188,7 +190,8 @@ def test_newreno_slow_start_doubles_per_round():
 
 
 def test_newreno_loss_halves_window():
-    cc = NewReno(1200, initial_packets=32)
+    cc = NewReno()
+    cc.cwnd = 32 * 1200
     assert cc.on_loss(sent_time_us=5, now_us=10)
     assert cc.cwnd == 16 * 1200
     assert cc.ssthresh == 16 * 1200
@@ -196,7 +199,8 @@ def test_newreno_loss_halves_window():
 
 
 def test_newreno_one_reduction_per_round():
-    cc = NewReno(1200, initial_packets=32)
+    cc = NewReno()
+    cc.cwnd = 32 * 1200
     assert cc.on_loss(100, 1000)
     before = cc.cwnd
     # losses of packets sent before the reduction do not reduce again
@@ -208,13 +212,15 @@ def test_newreno_one_reduction_per_round():
 
 
 def test_newreno_floor_at_min_window():
-    cc = NewReno(1200, initial_packets=3, min_packets=2)
+    cc = NewReno()
+    cc.cwnd = 3 * 1200
     cc.on_loss(1, 2)
     assert cc.cwnd == 2 * 1200
 
 
 def test_newreno_recovery_blocks_growth():
-    cc = NewReno(1200, initial_packets=32)
+    cc = NewReno()
+    cc.cwnd = 32 * 1200
     cc.on_loss(100, 1000)
     w = cc.cwnd
     cc.on_acked(500, 1200)  # sent before the reduction: no growth
@@ -229,11 +235,11 @@ def test_send_stream_slices_and_marks_fin():
     assert (f1.offset, f1.data, f1.fin) == (0, pattern_bytes(0, 4), False)
     f2 = ss.next_frame(100)
     assert (f2.offset, f2.data, f2.fin) == (4, pattern_bytes(4, 6), True)
-    assert not ss.has_pending
+    assert ss.fin_sent
 
 
 def test_recv_stream_reorders_and_dedups():
-    rs = RecvStream(keep_data=True)
+    rs = RecvStream()
     rs.insert(5, b"world", True)
     assert not rs.complete and rs.cursor == 0
     rs.insert(0, b"hello", False)
@@ -244,7 +250,7 @@ def test_recv_stream_reorders_and_dedups():
 
 
 def test_recv_stream_trims_partial_overlap():
-    rs = RecvStream(keep_data=True)
+    rs = RecvStream()
     rs.insert(0, b"abcd", False)
     rs.insert(2, b"cdef", False)
     assert bytes(rs.data) == b"abcdef"
@@ -258,7 +264,7 @@ def test_recv_stream_detects_corruption():
 
 
 def test_recv_stream_final_size_never_changes():
-    rs = RecvStream(keep_data=True)
+    rs = RecvStream()
     rs.insert(0, b"abcdef", True)
     assert rs.complete
     rs.insert(0, b"abcdef", True)  # a resent FIN that agrees is fine
@@ -285,7 +291,7 @@ def test_recv_stream_rejects_final_size_below_received_data(delivered):
 
 
 def test_recv_stream_rejects_data_past_final_size():
-    rs = RecvStream(keep_data=True)
+    rs = RecvStream()
     rs.insert(0, b"abc", True)
     with pytest.raises(ProtocolViolation):
         rs.insert(3, b"def", False)
@@ -293,7 +299,7 @@ def test_recv_stream_rejects_data_past_final_size():
 
 
 def test_recv_stream_delivers_segment_overlapped_from_below():
-    rs = RecvStream(keep_data=True)
+    rs = RecvStream()
     rs.insert(5, b"56789", False)
     rs.insert(0, b"0123456", False)
     assert rs.cursor == 10 and bytes(rs.data) == b"0123456789"
@@ -323,7 +329,7 @@ def overlapping_slices(draw):
 @given(overlapping_slices())
 def test_recv_stream_delivers_any_order_of_overlapping_slices(case):
     data, slices = case
-    rs = RecvStream(keep_data=True)
+    rs = RecvStream()
     for start, end in slices:
         rs.insert(start, data[start:end], end == len(data))  # FIN on the last byte
     assert rs.complete and bytes(rs.data) == data
@@ -516,7 +522,7 @@ def test_acked_in_flight_matches_brute_force(flight, bounds):
     sent = dict.fromkeys(flight)
     ranges = list(zip(bounds[::2], bounds[1::2]))
     expected = [pn for pn in sent if any(lo <= pn <= hi for lo, hi in ranges)]
-    assert acked_in_flight(sent, AckFrame.of(bounds)) == expected
+    assert listed_in_flight(sent, AckFrame.of(bounds)) == expected
 
 
 def test_merged_ack_range_wider_than_flight_acks_everything():
@@ -694,6 +700,93 @@ def test_late_recovered_purges_queued_retransmission():
     sent = flushed_stream_offsets(srv, 100_100)
     assert offs[s[2]] not in sent
     assert srv.stats.retransmitted_packets == 0
+    assert srv.stats.cwnd_reductions == 1
+
+
+@st.composite
+def recovered_cases(draw):
+    """A flight, a queue of lost packets' frames awaiting retransmission in
+    any order, the start of the last reduction round and a Recovered frame
+    whose ranges stay below the next packet number."""
+    roles = draw(st.dictionaries(st.integers(1, 300), st.integers(0, 2), max_size=40))
+    flight = sorted(pn for pn, queued in roles.items() if not queued)
+    queue = [
+        (pn, StreamFrame(0, 10 * pn + j, False, b"x"))
+        for pn, queued in roles.items()
+        for j in range(queued)
+    ]
+    ranges = _ascending_ranges(
+        draw(
+            st.lists(
+                st.tuples(st.integers(0, 20), st.integers(0, 40)), min_size=1, max_size=8
+            )
+        )
+    )
+    next_pn = max(ranges[-1][1], *roles, 0) + 1 + draw(st.integers(0, 5))
+    recovery_start = draw(st.integers(-1, 300 * 100))
+    return flight, draw(st.permutations(queue)), recovery_start, ranges, next_pn
+
+
+@settings(deadline=None)
+@given(recovered_cases())
+# a range below the flight, one inside it and one above its newest packet
+@example(
+    ([5, 6, 9, 40], [(7, StreamFrame(0, 70, False, b"x"))], -1, [(0, 3), (6, 7), (41, 50)], 51)
+)
+def test_recovered_frame_matches_brute_force(case):
+    """The flight packets a Recovered frame lists retire in ascending order,
+    each counted and traced, with at most one reduction (the first whose
+    send time follows the last round); queued retransmissions of listed
+    packets go and the others keep their order."""
+    flight, queue, recovery_start, ranges, next_pn = case
+    traces = []
+    srv = Connection(
+        "server", ConnectionConfig(), trace=lambda ev, pn, detail: traces.append((ev, pn))
+    )
+    for pn in flight:
+        srv._sent[pn] = SentRecord(pn, pn * 100, 100 + pn, [])
+    srv._bytes_in_flight = sum(100 + pn for pn in flight)
+    srv._retransmit.extend(queue)
+    srv._cc._recovery_start = recovery_start
+    srv._next_pn = next_pn
+    cwnd = srv.cwnd
+
+    def listed(pn):
+        return any(lo <= pn <= hi for lo, hi in ranges)
+
+    retired = [pn for pn in flight if listed(pn)]
+    reducing = [pn for pn in retired if pn * 100 > recovery_start][:1]
+    deliver(srv, Packet(1, [RecoveredFrame.of(_flat(ranges))]), 10**6)
+    assert [pn for ev, pn in traces if ev == "peer_recovered"] == retired
+    assert [pn for ev, pn in traces if ev == "cwnd_reduce"] == reducing
+    assert list(srv._sent) == [pn for pn in flight if not listed(pn)]
+    assert list(srv._retransmit) == [item for item in queue if not listed(item[0])]
+    assert srv.stats.peer_recovered_packets == len(retired)
+    assert srv.stats.cwnd_reductions == len(reducing)
+    assert srv.cwnd == (max(cwnd / 2, srv._cc.min_window) if reducing else cwnd)
+    assert srv.bytes_in_flight == sum(100 + pn for pn in flight if not listed(pn))
+
+
+def test_wide_recovered_frame_costs_no_more_than_its_ranges():
+    """One Recovered range of a million packets over a three-packet flight
+    is walked range by range, not expanded packet by packet."""
+    srv = Connection("server", ConnectionConfig())
+    flight = (1, 500_000, 1_000_000)
+    for pn in flight:
+        srv._sent[pn] = SentRecord(pn, pn, MAX_PACKET_SIZE, [])
+    srv._bytes_in_flight = len(flight) * MAX_PACKET_SIZE
+    srv._retransmit.append((2, StreamFrame(0, 0, False, b"x")))
+    srv._next_pn = 1_000_001
+    data = encode_packet(Packet(1, [RecoveredFrame.of((1, 1_000_000))]))
+    tracemalloc.start()
+    try:
+        srv.on_datagram(data, 2_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert not srv._sent and not srv._retransmit and srv.bytes_in_flight == 0
+    assert srv.stats.peer_recovered_packets == 3
     assert srv.stats.cwnd_reductions == 1
 
 
