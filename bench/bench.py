@@ -42,7 +42,9 @@ The JSON records:
   codes xor, rs and rlc, with every 50th source lost and every repair fed.
   A receiver whose state is bounded by its code gains about nothing;
 * ``outputs``: the sha256, the heap events (the sum of
-  ``Simulator.events_run`` over the run) and the host time of one
+  ``Simulator.events_run`` over the run), the feedback packets (those
+  ``Connection.flush`` returns with ``kind == "feedback"``, over every
+  connection of the run) and the host time of one
   ``fecsim run --seed 0`` and one ``fecsim fairness --seed 0 --count 1``.
   Equal hashes between two checkouts show that a change left the
   simulated results byte-identical.
@@ -330,14 +332,28 @@ def bench_call(fn, number: int = 2000, repeat: int = 15) -> dict:
 
 def cli_output(argv: list[str]) -> dict:
     sims: list[Simulator] = []
+    feedback = 0
 
     def counted(*args, **kwargs) -> Simulator:
         sims.append(Simulator(*args, **kwargs))
         return sims[-1]
 
+    def connection(*args, **kwargs) -> Connection:
+        conn = Connection(*args, **kwargs)
+        flush = conn.flush
+
+        def flush_counted(now: int) -> list:
+            nonlocal feedback
+            out = flush(now)
+            feedback += sum(p.kind == "feedback" for p in out)
+            return out
+
+        conn.flush = flush_counted
+        return conn
+
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         experiments, "Simulator", counted
-    ):
+    ), mock.patch.object(experiments, "Connection", connection):
         out = os.path.join(tmp, "out.csv")
         start = time.perf_counter()
         cli.main(argv + ["--out", out])
@@ -345,7 +361,13 @@ def cli_output(argv: list[str]) -> dict:
         with open(out, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
     events = sum(sim.events_run for sim in sims)
-    return {"argv": argv, "sha256": digest, "events": events, "wall_s": round(wall, 3)}
+    return {
+        "argv": argv,
+        "sha256": digest,
+        "events": events,
+        "feedback_packets": feedback,
+        "wall_s": round(wall, 3),
+    }
 
 
 def main() -> int:

@@ -36,14 +36,22 @@ when nothing worth probing is left.
 
 The receiver keeps the packet numbers it received in a
 :class:`~fecsim.frames.RangeSet` and acknowledges the newest
-:data:`ACK_RANGE_CAP` ranges.  :mod:`fecsim.frames` owns the range-list
-layout (RFC 9000 section 19.3) and its one encoder, ``RangeSet.frame``,
-with the set's cache of packed older values.  The sender reads ACK and
-Recovered frames with one walk, newest range first, that stops below its
-oldest packet in flight (:func:`listed_in_flight`).  That layout cannot
-express ranges out of order, overlapping or touching, nor a largest
-acknowledged above its ranges; an ACK or Recovered frame that names an
-unsent packet raises :class:`ProtocolViolation`.
+:data:`ACK_RANGE_CAP` ranges.  It sends an ACK for every second
+ack-eliciting packet (RFC 9000 section 13.2.2), at once for a duplicate, a
+recovered packet, or a packet that is out of order, carries a handshake
+frame or completes the stream, and otherwise :data:`MAX_ACK_DELAY_US` after
+the first packet it has not acknowledged.  The sender takes an RTT sample
+when an ACK raises the largest acknowledged packet number and newly
+acknowledges a packet in flight, from the newest such packet (RFC 9002
+section 5.1; the largest may be a feedback packet, never in flight).
+:mod:`fecsim.frames` owns the range-list layout (RFC 9000 section 19.3) and
+its one encoder, ``RangeSet.frame``, with the set's cache of packed older
+values.  The sender reads ACK and Recovered frames with one walk, newest
+range first, that stops below its oldest packet in flight
+(:func:`listed_in_flight`).  That layout cannot express ranges out of
+order, overlapping or touching, nor a largest acknowledged above its
+ranges; an ACK or Recovered frame that names an unsent packet raises
+:class:`ProtocolViolation`.
 """
 
 from __future__ import annotations
@@ -86,6 +94,7 @@ INITIAL_RTT_US = 100_000
 INITIAL_CWND_PACKETS = 10
 MIN_CWND_PACKETS = 2
 ACK_RANGE_CAP = 32
+MAX_ACK_DELAY_US = 25_000  # RFC 9000 section 18.2 default
 # stream data per packet: a protected packet holding one stream frame
 STREAM_BUDGET = MAX_PACKET_SIZE - PROTECTED_HEADER_LEN - STREAM_FRAME_OVERHEAD
 # repair chunk per packet: an unprotected packet holding one repair frame
@@ -398,11 +407,14 @@ class Connection:
         self._rtt = RttEstimator()
         self._hole_since: dict[int, int] = {}
         self._tlp_anchor: Optional[int] = None
+        self._largest_acked = 0
 
         # receive side
         self._received_pns = RangeSet()
         self._recovered_pending: set[int] = set()
-        self._ack_queued = False
+        self._ack_queued = False  # acknowledge at the next flush
+        # set while one ack-eliciting packet waits for its ACK
+        self._ack_deadline: Optional[int] = None
         self._recv_stream = RecvStream(pattern_bytes if role == "client" else None)
 
         self._handshake_done = False
@@ -447,11 +459,17 @@ class Connection:
         self.stats.packets_received += 1
         pkt = parse_packet(data)
         pn = pkt.packet_number
-        if not self._received_pns.add(pn):
+        received = self._received_pns
+        if not received.add(pn):
             self._ack_queued = True  # acknowledge again, ignore the payload
             return
+        # in order: the newest range ends at pn and holds pn - 1
+        in_order = received.bounds[-1] == pn and received.bounds[-2] < pn
         if self._on_frames(pn, pkt.frames, now):
-            self._ack_queued = True
+            if self._ack_deadline is not None or not in_order:
+                self._ack_queued = True  # the second one waiting, or out of order
+            else:
+                self._ack_deadline = now + MAX_ACK_DELAY_US
         if pkt.fec_protected and self._receiver_fec is not None:
             self._trace("src_symbol", pn, "id=%d", pkt.source_id)
             self._on_recovered(
@@ -471,6 +489,7 @@ class Connection:
             if kind is StreamFrame:
                 self._on_stream_frame(frame, now)
             elif kind is HandshakeFrame:
+                self._ack_queued = True
                 self._on_handshake_frame(frame, now)
             elif kind is FecFrame and self._receiver_fec is not None:
                 self._trace("repair_symbol", pn, "id=%#x", frame.repair_id)
@@ -492,7 +511,7 @@ class Connection:
             self._trace("recovered", pn, "")
             if self._strategy != STRATEGY_NO_ACK:
                 self._received_pns.add(pn)
-                self._ack_queued = True
+                self._ack_queued = True  # it fills a hole: out of order
             if self._strategy == STRATEGY_RECOVERED_FRAME:
                 self._recovered_pending.add(pn)
             self._on_frames(pn, pkt.frames, now)
@@ -502,6 +521,7 @@ class Connection:
         was_complete = stream.complete
         stream.insert(frame.offset, frame.data, frame.fin)
         if stream.complete and not was_complete:
+            self._ack_queued = True
             if self.role == "server":
                 self._start_response(now)
             else:
@@ -535,12 +555,11 @@ class Connection:
         if largest >= self._next_pn:
             raise ProtocolViolation(f"peer acked unsent packet {largest}")
         newly = listed_in_flight(self._sent, ack)
+        if largest > self._largest_acked:
+            self._largest_acked = largest
+            if newly:
+                self._rtt.add_sample(now - self._sent[newly[-1]].send_time_us)
         if newly:
-            largest_new = newly[-1]
-            if largest_new == largest:
-                self._rtt.add_sample(
-                    now - self._sent[largest_new].send_time_us
-                )
             for pn in newly:
                 rec = self._retire(pn)
                 self._cc.on_acked(rec.send_time_us, rec.size)
@@ -609,9 +628,10 @@ class Connection:
     # -- timers -----------------------------------------------------------------
 
     def next_timer_us(self) -> Optional[int]:
-        deadline = None
+        deadline = self._ack_deadline
         if self._sent and self._tlp_anchor is not None:
-            deadline = self._tlp_anchor + TLP_SRTT_MULTIPLIER * self._rtt.srtt_us
+            tlp = self._tlp_anchor + TLP_SRTT_MULTIPLIER * self._rtt.srtt_us
+            deadline = tlp if deadline is None else min(deadline, tlp)
         if self._hole_since:  # the oldest hole is the first one
             hole = next(iter(self._hole_since.values())) + max(
                 1, self._rtt.srtt_us // HOLE_TIME_FRACTION
@@ -620,6 +640,8 @@ class Connection:
         return deadline
 
     def on_timer(self, now: int) -> None:
+        if self._ack_deadline is not None and now >= self._ack_deadline:
+            self._ack_queued = True
         self._check_time_losses(now)
         if (
             self._sent
@@ -696,6 +718,7 @@ class Connection:
                 frames.append(ranges.frame(RecoveredFrame, len(ranges)))
             frames.append(self._ack_frame())
             self._ack_queued = False
+            self._ack_deadline = None
             pkt = self._build(now, frames, "feedback")
             if carried:
                 self._sent[pkt.packet_number].recovered = carried

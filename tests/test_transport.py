@@ -1,7 +1,9 @@
 """Transport state machine: congestion control, loss detection, recovery
 signaling, stream reassembly."""
 
+import math
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +33,7 @@ from fecsim.transport import (
     ACK_RANGE_CAP,
     FEC_SYMBOL_SIZE,
     HOLE_TIME_FRACTION,
+    MAX_ACK_DELAY_US,
     MAX_PACKET_SIZE,
     Connection,
     ConnectionConfig,
@@ -454,6 +457,24 @@ def test_hole_time_threshold_declares_loss():
     assert ("lost", s[2], "time_threshold") in srv.traces
 
 
+def test_rtt_sample_from_newest_packet_in_flight_when_largest_is_feedback():
+    srv, _ = make_server()
+    # packet 1 is the handshake, in flight; 2 and 3 are feedback, not in
+    # flight: the ACK's largest is new but was never in flight
+    deliver(srv, Packet(3, [AckFrame.of((1, 3))]), 150_000)
+    assert srv.rtt.has_sample and srv.rtt.srtt_us == 150_000
+
+
+def test_rtt_sample_needs_a_new_largest_acked():
+    srv, stream = make_server()
+    s = [p.packet_number for p in stream]
+    deliver(srv, Packet(3, [AckFrame.of((s[1], s[1]))]), 150_000)
+    assert srv.rtt.srtt_us == 150_000
+    # a late ACK that newly acks s[0] but not a larger packet: no sample
+    deliver(srv, Packet(4, [AckFrame.of((s[0], s[1]))]), 400_000)
+    assert srv.rtt.srtt_us == 150_000
+
+
 def test_tail_loss_probe_fires_after_two_srtt():
     srv, stream = make_server()
     assert srv.next_timer_us() == 2 * srv.rtt.srtt_us  # anchored at send time 0
@@ -574,15 +595,21 @@ ack_ranges = st.lists(
 )
 # a hole opened by the first ACK expires before the second arrives
 @example([(1000, [(1, 8), (10, 10)]), (60_000, [(1, 8), (10, 12)])])
+# a late ACK newly acks its own largest but does not raise the largest
+# acknowledged: no RTT sample
+@example([(1, [(2, 2)]), (1, [(0, 1)])])
 def test_hole_timer_and_losses_match_brute_force(acks):
     """Random well-formed ACKs (the largest acked tops the newest range)
     at increasing times, with the hole timer fired when it is due first.
     The model gives each outstanding packet the time of the first ACK
-    whose largest acked is above it as its hole time."""
+    whose largest acked is above it as its hole time, and takes an RTT
+    sample when an ACK raises the largest acknowledged and newly acks a
+    packet, from the newest one."""
     traces = []
     srv = server_with_flight(traces)
     outstanding = set(range(1, FLIGHT + 1))
     history = []  # (time, largest acked) of every ACK so far
+    largest_acked = 0
     rtt = RttEstimator()
     anchor = now = FLIGHT * 100
     lost = []
@@ -623,9 +650,11 @@ def test_hole_timer_and_losses_match_brute_force(acks):
         largest = ranges[-1][1]
         deliver(srv, Packet(i + 1, [AckFrame.of(_flat(ranges))]), now)
         newly = sorted(pn for pn in outstanding if any(lo <= pn <= hi for lo, hi in ranges))
+        if largest > largest_acked:
+            largest_acked = largest
+            if newly:
+                rtt.add_sample(now - newly[-1] * 100)
         if newly:
-            if newly[-1] == largest:
-                rtt.add_sample(now - largest * 100)
             outstanding.difference_update(newly)
             anchor = now
         history.append((now, largest))
@@ -805,7 +834,7 @@ def test_ack_ranges_are_sorted_disjoint_and_capped():
         pn = 2 * i + 2
         deliver(srv, Packet(pn, [HandshakeFrame(0)]), i * 10)
         out = [p for p in srv.flush(i * 10) if p.kind == "feedback"]
-        assert out, "every ack-eliciting packet yields immediate feedback"
+        assert out, "every out-of-order packet yields immediate feedback"
         acks = [
             f
             for p in out
@@ -821,6 +850,126 @@ def test_ack_ranges_are_sorted_disjoint_and_capped():
         assert ack.largest == ack.ranges[-1][1] == pn
         assert ack.largest > largest_seen  # monotone growth
         largest_seen = ack.largest
+
+
+def acked_client():
+    """A client past the handshake with its own packets acknowledged, so
+    that only its receive side arms a timer.  The peer's packets 1 and 2
+    have arrived and no ack-eliciting packet waits."""
+    cli = Connection("client", ConnectionConfig(), request_size=10)
+    cli.start(0)
+    cli.flush(0)
+    deliver(cli, Packet(1, [HandshakeFrame(1)]), 1000)
+    cli.flush(1000)
+    deliver(cli, Packet(2, [AckFrame.of((1, 3))]), 2000)
+    assert cli.flush(2000) == [] and cli.next_timer_us() is None
+    return cli
+
+
+def response_packet(i, n):
+    """Packet ``3 + i`` of a response of ``n`` 100-byte stream frames, the
+    last one with the FIN."""
+    return Packet(3 + i, [StreamFrame(0, 100 * i, i == n - 1, pattern_bytes(100 * i, 100))])
+
+
+def feed_receiver(n, arrivals):
+    """Deliver response packets of ``n`` to :func:`acked_client` at each
+    ``(time, index)`` of ``arrivals``, firing its timers as they fall
+    due.  Checks that every ack-eliciting packet is acknowledged within
+    MAX_ACK_DELAY_US of its arrival, and that ``next_timer_us`` never lies
+    past the deadline of the oldest one waiting.  Returns the number of
+    feedback packets sent."""
+    cli = acked_client()
+    waiting = {}  # packet number -> arrival, not yet acknowledged
+    feedback = 0
+
+    def flush(now):
+        nonlocal feedback
+        for p in cli.flush(now):
+            assert p.kind == "feedback"
+            feedback += 1
+            (ack,) = parse_packet(p.data).frames
+            for pn in [pn for pn in waiting if any(lo <= pn <= hi for lo, hi in ack.ranges)]:
+                assert now - waiting.pop(pn) <= MAX_ACK_DELAY_US
+
+    def fire_timers(until):
+        while (deadline := cli.next_timer_us()) is not None and deadline <= until:
+            cli.on_timer(deadline)
+            flush(deadline)
+            assert (cli.next_timer_us() or math.inf) > deadline  # disarmed
+
+    for now, i in arrivals:
+        fire_timers(now)
+        deliver(cli, response_packet(i, n), now)
+        waiting.setdefault(3 + i, now)
+        flush(now)
+        if waiting:
+            assert cli.next_timer_us() <= min(waiting.values()) + MAX_ACK_DELAY_US
+    fire_timers(math.inf)
+    assert not waiting
+    return feedback
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_no_ack_eliciting_packet_waits_past_max_ack_delay(data):
+    n = data.draw(st.integers(1, 24))
+    # any order, with duplicates and gaps; the FIN may arrive or not
+    order = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    gaps = data.draw(
+        st.lists(
+            st.integers(0, 2 * MAX_ACK_DELAY_US),
+            min_size=len(order),
+            max_size=len(order),
+        )
+    )
+    feed_receiver(n, zip(accumulate(gaps, initial=3000), order))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    gaps=st.lists(st.integers(0, MAX_ACK_DELAY_US - 1), min_size=1, max_size=24),
+)
+def test_in_order_packets_get_one_feedback_packet_per_two(n, gaps):
+    k = min(n, len(gaps))  # a prefix of the response; the FIN if k == n
+    arrivals = zip(accumulate(gaps[:k], initial=3000), range(k))
+    assert feed_receiver(n, arrivals) <= (k + 1) // 2
+
+
+def test_in_order_packet_is_acked_with_the_next_or_after_max_ack_delay():
+    cli = acked_client()
+    deliver(cli, response_packet(0, 9), 5000)
+    assert cli.flush(5000) == []
+    assert cli.next_timer_us() == 5000 + MAX_ACK_DELAY_US
+    deliver(cli, response_packet(1, 9), 6000)
+    assert [p.kind for p in cli.flush(6000)] == ["feedback"]
+    assert cli.next_timer_us() is None
+    deliver(cli, response_packet(2, 9), 7000)
+    assert cli.flush(7000) == []
+    deadline = cli.next_timer_us()
+    assert deadline == 7000 + MAX_ACK_DELAY_US
+    cli.on_timer(deadline - 1)
+    assert cli.flush(deadline - 1) == []
+    cli.on_timer(deadline)
+    (ack,) = parse_packet(cli.flush(deadline)[0].data).frames
+    assert ack.largest == 5
+
+
+ACK_AT_ONCE = {
+    "out_of_order": response_packet(1, 9),
+    "duplicate": Packet(1, [HandshakeFrame(1)]),
+    "handshake": Packet(3, [HandshakeFrame(1)]),
+    "completing_fin": response_packet(0, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACK_AT_ONCE))
+def test_ack_goes_out_at_once(case):
+    cli = acked_client()
+    deliver(cli, ACK_AT_ONCE[case], 5000)
+    assert [p.kind for p in cli.flush(5000)] == ["feedback"]
+    assert cli.next_timer_us() is None
 
 
 def test_flight_never_exceeds_cwnd_at_send_time():
@@ -965,6 +1114,25 @@ def test_recovered_reports_repeat_until_a_carrier_is_acked():
     fourth = cli.flush(hole_at + 3)
     assert [p.kind for p in fourth] == ["feedback"]
     assert recovered_reports(fourth) == []
+
+
+def test_recovery_sends_its_recovered_frame_at_once():
+    cfg = ConnectionConfig(fec=FecConfig.xor(2, lanes=1))
+    srv = Connection("server", cfg)
+    srv.on_datagram(encode_packet(Packet(1, [HandshakeFrame(0)])), 0)
+    srv.flush(0)
+    srv.on_datagram(encode_packet(Packet(2, [StreamFrame(0, 0, True, b"GET 3000")])), 0)
+    lost, second, repair = srv.flush(0)[1:4]
+    assert [p.kind for p in (lost, second, repair)] == ["stream", "stream", "repair"]
+    cli = fec_client(cfg)
+    cli.on_datagram(second.data, 2000)  # out of order: acked at once
+    assert [p.kind for p in cli.flush(2000)] == ["feedback"]
+    # the repair arrives in order and is the only packet waiting, yet
+    # its recovery is reported at once
+    assert repair.packet_number == second.packet_number + 1
+    cli.on_datagram(repair.data, 3000)
+    assert cli.stats.recovered_packets == 1
+    assert recovered_reports(cli.flush(3000)) == [[lost.packet_number]]
 
 
 def test_client_completes_once():
