@@ -40,7 +40,12 @@ The JSON records:
 * ``receiver_state``: the bytes ``tracemalloc`` sees a ``ReceiverFec``
   gain from its 2,000th to its 20,000th source, for each of the harness
   codes xor, rs and rlc, with every 50th source lost and every repair fed.
-  A receiver whose state is bounded by its code gains about nothing;
+  A receiver whose state is bounded by its code gains about nothing.
+  Beside each, ``forged_chunk_bytes``: the bytes ``tracemalloc`` sees a
+  ``ReceiverFec`` at ``FEC_SYMBOL_SIZE`` hold after a flood of 8 forged
+  repairs, each sent as 255 non-final chunks of 32,767 bytes (the widest
+  chunk a repair frame carries), every chunk parsed from its own wire
+  bytes, with the number of chunks it refused;
 * ``outputs``: the sha256, the heap events (the sum of
   ``Simulator.events_run`` over the run), the feedback packets (those
   ``Connection.flush`` returns with ``kind == "feedback"``, over every
@@ -72,7 +77,18 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from fecsim import cli, experiments, gf256, schemes  # noqa: E402
-from fecsim.framework import ReceiverFec, SenderFec  # noqa: E402
+from fecsim.framework import (  # noqa: E402
+    MAX_CHUNK_PAYLOAD,
+    MAX_CHUNKS,
+    FecFrame,
+    MalformedFrame,
+    ReceiverFec,
+    SenderFec,
+    block_repair_id,
+    conv_repair_id,
+    encode_fec_frame,
+    parse_fec_frame,
+)
 from fecsim.netem import GilbertElliottLoss, Simulator  # noqa: E402
 from fecsim.frames import (  # noqa: E402
     AckFrame,
@@ -86,6 +102,7 @@ from fecsim.frames import (  # noqa: E402
 from fecsim.transport import (  # noqa: E402
     Connection,
     ConnectionConfig,
+    FEC_SYMBOL_SIZE,
     MAX_PACKET_SIZE,
     STREAM_BUDGET,
     SentRecord,
@@ -104,6 +121,7 @@ WINDOW = 20
 RLC_SEED = 0xBEEF
 RECEIVER_SPAN = (2_000, 20_000)
 RECEIVER_LOSS_EVERY = 50
+FORGED_REPAIRS = 8
 
 
 def ack_with_gaps(ranges: int = RANGES) -> AckFrame:
@@ -316,7 +334,39 @@ def receiver_state() -> dict:
             "sources": [first, last],
             "recovered": recovered,
         }
+        out[f"framework.forged_chunk_bytes_{code}"] = forged_chunk_bytes(cfg)
     return out
+
+
+def forged_chunk_bytes(cfg) -> dict:
+    """The bytes a receiver holds after ``FORGED_REPAIRS`` repairs of
+    ``MAX_CHUNKS - 1`` widest non-final chunks each, none of which can
+    complete a symbol."""
+    receiver = ReceiverFec(cfg.scheme, FEC_SYMBOL_SIZE, window=max(1, cfg.window))
+    payload = bytes(MAX_CHUNK_PAYLOAD)
+    chunks = refused = 0
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for r in range(FORGED_REPAIRS):
+            if cfg.scheme == schemes.SCHEME_RLC:
+                repair_id = conv_repair_id(0, r + 1)
+            else:
+                repair_id = block_repair_id(0, r, r)
+            for chunk in range(MAX_CHUNKS - 1):
+                chunks += 1
+                wire = encode_fec_frame(
+                    FecFrame(False, chunk, repair_id, 1, FORGED_REPAIRS, payload)
+                )
+                try:
+                    receiver.on_fec_frame(parse_fec_frame(wire)[0])
+                except MalformedFrame:
+                    refused += 1
+        del wire
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    return {"bytes": held, "chunks": chunks, "refused": refused}
 
 
 def bench_call(fn, number: int = 2000, repeat: int = 15) -> dict:

@@ -8,7 +8,8 @@ This module owns everything between the transport and the raw codes:
   repair symbol is queued on ``SenderFec.pending`` as one whole frame
   (``F`` set, chunk 0), which the transport sends as it is,
 * :func:`chunk_repair`, which splits a symbol wider than one frame's
-  payload into chunks, and the receiver-side reassembly of such chunks,
+  payload into chunks, and the receiver-side reassembly of such chunks:
+  one symbol at a time, holding at most one symbol's bytes,
 * receiver-side recovery, with state bounded by the code: at most
   ``ReceiverFec.BLOCK_BACKLOG`` blocks, or the RLC horizon plus one window.
 
@@ -41,7 +42,6 @@ import numpy as np
 from . import schemes
 from .rng import splitmix64_mix
 from .schemes import (
-    RLC_EVICT_WINDOWS,
     SCHEME_REED_SOLOMON,
     SCHEME_RLC,
     SCHEME_XOR,
@@ -357,11 +357,14 @@ class SenderFec:
 
 @dataclass
 class _PartialRepair:
+    """The chunks held of the one repair symbol being assembled."""
+
     repair_id: int
+    nss: int
+    nrs: int
     chunks: dict[int, bytes] = field(default_factory=dict)
     fin_offset: Optional[int] = None
-    nss: int = 0
-    nrs: int = 0
+    held: int = 0  # payload bytes in ``chunks``
 
 
 @dataclass
@@ -386,12 +389,10 @@ class ReceiverFec:
     symbols are swept only below the horizon minus one window.  So state is
     bounded by the code: ``BLOCK_BACKLOG`` blocks, or the RLC horizon plus
     one window.  A block's first repair pins its code shape ``(nss, nrs)``.
-    A repair symbol split over several frames is buffered until its last
-    chunk arrives, and dropped with its block or once its window falls out
-    of the RLC decoder.  A block code buffers at most one such symbol per
-    (block, index): a second repair id there raises :class:`MalformedFrame`.
-    RLC buffers at most :data:`~fecsim.schemes.RLC_EVICT_WINDOWS` windows'
-    worth of them, one per source the decoder keeps, and drops the oldest.
+    A repair symbol split over several frames is assembled in one slot,
+    since a sender sends one symbol's chunks back to back: a chunk of
+    another repair replaces the symbol in progress, and chunks of more than
+    ``symbol_size`` bytes raise :class:`MalformedFrame`.
     """
 
     BLOCK_BACKLOG = 64
@@ -401,8 +402,7 @@ class ReceiverFec:
             raise UnknownScheme(f"scheme 0x{scheme:02x}")
         self.scheme = scheme
         self.symbol_size = symbol_size
-        # partial repairs by repair id (RLC) or by its (block, index) half
-        self._reassembly: dict[int, _PartialRepair] = {}
+        self._partial: Optional[_PartialRepair] = None
         # None marks a completed block until it falls behind the backlog
         self._blocks: dict[int, Optional[_BlockState]] = {}
         self._newest_block = -1
@@ -422,9 +422,7 @@ class ReceiverFec:
             )
         symbol = frame_symbol(packet_bytes, self.symbol_size)
         if self.scheme == SCHEME_RLC:
-            recovered = self._rlc.add_source(raw_id, symbol)
-            self._evict_partials()
-            return self._emit(recovered)
+            return self._emit(self._rlc.add_source(raw_id, symbol))
         block_no, offset = split_block_source_id(raw_id)
         state = self._block(block_no)
         if state is None:
@@ -451,9 +449,7 @@ class ReceiverFec:
             symbol = self._assemble(frame)
             if symbol is None:
                 return []
-            recovered = self._rlc.add_repair(hi, frame.nss, lo, symbol)
-            self._evict_partials()
-            return self._emit(recovered)
+            return self._emit(self._rlc.add_repair(hi, frame.nss, lo, symbol))
         block_no, index = split_block_source_id(hi)
         if index >= frame.nrs or frame.nss + frame.nrs > 256:
             raise MalformedFrame(
@@ -483,31 +479,27 @@ class ReceiverFec:
 
     def _assemble(self, frame: FecFrame) -> Optional[np.ndarray]:
         """The repair symbol ``frame`` completes, or None while chunks of it
-        are missing.  A whole symbol in one frame is never buffered."""
-        repair_id = frame.repair_id
-        key = repair_id if self._rlc is not None else repair_id >> 32
-        part = self._reassembly.get(key)
-        if part is None and frame.fin and not frame.chunk_offset:
+        are missing.  A whole symbol in one frame is never buffered; a chunk
+        of another repair than the one in progress drops that one."""
+        if frame.fin and not frame.chunk_offset:
             payload = frame.payload
         else:
-            if part is None:
-                if (
-                    self._rlc is not None
-                    and len(self._reassembly) >= RLC_EVICT_WINDOWS * self._rlc.window
-                ):
-                    del self._reassembly[next(iter(self._reassembly))]  # the oldest
-                part = _PartialRepair(repair_id, nss=frame.nss, nrs=frame.nrs)
-                self._reassembly[key] = part
-            elif part.repair_id != repair_id:
-                raise MalformedFrame(
-                    f"repair ids {part.repair_id:#x} and {repair_id:#x} "
-                    "at one block and index"
+            part = self._partial
+            if part is None or part.repair_id != frame.repair_id:
+                part = self._partial = _PartialRepair(
+                    frame.repair_id, frame.nss, frame.nrs
                 )
             elif (part.nss, part.nrs) != (frame.nss, frame.nrs):
                 raise MalformedFrame("chunks of one repair announce different codes")
             chunks = part.chunks
             if frame.chunk_offset in chunks:
                 return None  # duplicate chunk
+            held = part.held + len(frame.payload)
+            if held > self.symbol_size:
+                raise MalformedFrame(
+                    f"{held} bytes of chunks for a {self.symbol_size}-byte symbol"
+                )
+            part.held = held
             chunks[frame.chunk_offset] = frame.payload
             if frame.fin:
                 part.fin_offset = frame.chunk_offset
@@ -519,27 +511,12 @@ class ReceiverFec:
             if len(chunks) != fin + 1:
                 return None
             payload = b"".join(chunks[i] for i in range(fin + 1))
-            del self._reassembly[key]
+            self._partial = None
         if len(payload) != self.symbol_size:
             raise MalformedFrame(
                 f"{len(payload)}-byte repair symbol, expected {self.symbol_size}"
             )
         return np.frombuffer(payload, dtype=np.uint8)
-
-    def _evict_partials(self) -> None:
-        """Drop the partial repairs that can no longer help: their block
-        completed or fell behind the backlog, or their RLC window starts
-        below what the decoder keeps."""
-        if not self._reassembly:
-            return
-        if self._rlc is not None:
-            horizon = self._rlc.horizon
-            stale = [r for r in self._reassembly if r >> 32 < horizon]
-        else:
-            blocks = self._blocks
-            stale = [k for k in self._reassembly if blocks.get(k >> 8) is None]
-        for key in stale:
-            del self._reassembly[key]
 
     def _block(self, block_no: int) -> Optional[_BlockState]:
         """The state of ``block_no``, made on first use; None once the block
@@ -549,7 +526,6 @@ class ReceiverFec:
             floor = block_no - self.BLOCK_BACKLOG
             for bn in [b for b in self._blocks if b <= floor]:
                 del self._blocks[bn]
-            self._evict_partials()
         elif block_no <= self._newest_block - self.BLOCK_BACKLOG:
             return None
         if block_no not in self._blocks:
@@ -564,7 +540,7 @@ class ReceiverFec:
         k = state.nss
         missing = [o for o in range(k) if o not in state.sources]
         if not missing:
-            self._close_block(block_no)
+            self._blocks[block_no] = None
             return []
         if len(state.sources) + len(state.repairs) < k:
             return []
@@ -586,14 +562,8 @@ class ReceiverFec:
             state.sources[offset] = solved[offset]
             out.append((block_source_id(block_no, offset), solved[offset]))
         if len(state.sources) == k:
-            self._close_block(block_no)
+            self._blocks[block_no] = None
         return self._emit(out)
-
-    def _close_block(self, block_no: int) -> None:
-        """Mark ``block_no`` complete: its later symbols and its partial
-        repairs are dropped."""
-        self._blocks[block_no] = None
-        self._evict_partials()
 
     def _emit(self, pairs: list[tuple[int, np.ndarray]]) -> list[tuple[int, bytes]]:
         """Unframe each rebuilt symbol back into its packet."""

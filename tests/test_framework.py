@@ -38,7 +38,6 @@ from fecsim.schemes import (
     BlockCodeParams,
     ConvolutionalParams,
     InvalidParams,
-    RLC_EVICT_WINDOWS,
     symbol_size_for,
 )
 from fecsim.transport import FEC_SYMBOL_SIZE, REPAIR_CHUNK_BUDGET
@@ -434,41 +433,75 @@ def test_receiver_rejects_a_chunk_past_the_final_chunk():
         receiver.on_fec_frame(FecFrame(True, 1, repair_id, 2, 1, b"b"))
 
 
-def test_receiver_holds_one_partial_repair_per_block_and_index():
-    """10,000 first chunks of block 0, index 0, each with another
-    scheme-specific half of the repair id: only the first is buffered, and
-    every later one is the peer's fault."""
-    receiver = ReceiverFec(SCHEME_REED_SOLOMON, SYMBOL)
-    chunk = bytes(1_175)  # a full repair frame's payload
-    refused = 0
-    for lo in range(10_000):
-        frame = FecFrame(False, 0, block_repair_id(0, 0, lo), 20, 10, chunk)
-        try:
-            assert receiver.on_fec_frame(frame) == []
-        except MalformedFrame:
-            refused += 1
-    assert refused == 9_999
-    assert len(receiver._reassembly) == 1
-    # the first repair id still completes
-    (part,) = receiver._reassembly.values()
-    assert part.repair_id == block_repair_id(0, 0, 0)
+def partial_bytes(receiver):
+    """The payload bytes of the one partial repair ``receiver`` holds."""
+    part = receiver._partial
+    return 0 if part is None else sum(map(len, part.chunks.values()))
 
 
-def test_receiver_caps_rlc_partial_repairs_oldest_first():
-    """10,000 first chunks at window start 0, each with another coefficient
-    seed: the receiver keeps one partial per source its decoder holds, the
-    newest ones, and refuses none (an honest sender sends several repairs
-    at one window start)."""
-    receiver = ReceiverFec(SCHEME_RLC, 1168, window=20)
-    cap = RLC_EVICT_WINDOWS * 20
-    chunk = bytes(1_175)
+@pytest.mark.parametrize("scheme", [SCHEME_REED_SOLOMON, SCHEME_RLC], ids=["rs", "rlc"])
+def test_receiver_holds_one_partial_repair(scheme):
+    """10,000 first chunks of block 0, index 0 (or window start 0), each
+    with another scheme-specific half of the repair id: none is refused (an
+    honest RLC sender sends several repairs at one window start), and the
+    receiver holds one partial repair, the newest."""
+    receiver = ReceiverFec(scheme, FEC_SYMBOL_SIZE, window=20)
+
+    def repair_id(lo):
+        return conv_repair_id(0, lo) if scheme == SCHEME_RLC else block_repair_id(0, 0, lo)
+
+    chunk = bytes(1_000)
     for lo in range(10_000):
-        frame = FecFrame(False, 0, conv_repair_id(0, lo), 20, 1, chunk)
+        frame = FecFrame(False, 0, repair_id(lo), 20, 10, chunk)
         assert receiver.on_fec_frame(frame) == []
-        assert len(receiver._reassembly) <= cap
-    assert [part.repair_id & 0xFFFFFFFF for part in receiver._reassembly.values()] == list(
-        range(10_000 - cap, 10_000)
-    )
+    assert receiver._partial.repair_id == repair_id(9_999)
+    assert partial_bytes(receiver) == len(chunk)
+
+
+@pytest.mark.parametrize(
+    "scheme,params",
+    [(SCHEME_REED_SOLOMON, BlockCodeParams(6, 4)), (SCHEME_RLC, ConvolutionalParams(4, 2, 4))],
+    ids=["rs", "rlc"],
+)
+def test_a_chunk_of_another_repair_drops_the_symbol_in_progress(scheme, params):
+    """The first chunk of repair A, then all of repair B, then the rest of
+    A: B completes and A does not, since B's chunk dropped A's.  A
+    completes once its first chunk comes again, and the two repairs rebuild
+    the two lost sources."""
+    rnd = random.Random(41)
+    packets = [random_packet(rnd) for _ in range(params.k)]
+    sender = make_sender(scheme, params)
+    receiver = ReceiverFec(scheme, SYMBOL, window=4)
+    ids = [push_packet(sender, p) for p in packets]
+    for raw, pkt in zip(ids[2:], packets[2:]):
+        assert receiver.on_source_symbol(raw, pkt) == []
+    a, b = (chunk_repair(pending, 20) for pending in sender.pending)
+    assert receiver.on_fec_frame(a[0]) == []
+    for frame in b:
+        assert receiver.on_fec_frame(frame) == []
+    assert receiver._partial is None  # B completed, A was dropped
+    for frame in a[1:]:
+        assert receiver.on_fec_frame(frame) == []
+    assert receiver.on_fec_frame(a[0]) == [(ids[0], packets[0]), (ids[1], packets[1])]
+
+
+@pytest.mark.parametrize(
+    "scheme", [SCHEME_XOR, SCHEME_REED_SOLOMON, SCHEME_RLC], ids=["xor", "rs", "rlc"]
+)
+def test_receiver_refuses_chunks_past_one_symbol(scheme):
+    """Chunks of one repair that hold more bytes than a symbol are the
+    peer's fault, so the receiver never buffers more than one symbol."""
+    receiver = ReceiverFec(scheme, SYMBOL, window=4)
+    if scheme == SCHEME_RLC:
+        repair_id = conv_repair_id(0, 1)
+    else:
+        repair_id = block_repair_id(0, 0, 0)
+    half = bytes(SYMBOL // 2)
+    for chunk in (0, 1):
+        assert receiver.on_fec_frame(FecFrame(False, chunk, repair_id, 2, 1, half)) == []
+    with pytest.raises(MalformedFrame, match="chunks for a 64-byte symbol"):
+        receiver.on_fec_frame(FecFrame(False, 2, repair_id, 2, 1, b"x"))
+    assert partial_bytes(receiver) == SYMBOL
 
 
 @pytest.mark.parametrize("n,k,window", [(3, 2, 20), (6, 2, 4)])
@@ -476,13 +509,12 @@ def test_receiver_caps_rlc_partial_repairs_oldest_first():
 def test_honest_chunked_rlc_streams_recover_and_never_raise(n, k, window, seed):
     """Honest RLC streams with every repair split into chunks and a share of
     the sources and chunks lost: nothing raises, every recovered packet is
-    the one sent, and the partial repairs stay within the cap.  rlc(6,2,4)
-    sends two repairs per source, more than the cap holds over the decoder's
-    span, so the cap evicts honest partials there."""
+    the one sent, and the receiver holds at most one partial repair, of at
+    most one symbol's bytes."""
     rnd = random.Random(f"honest-rlc-{n}-{k}-{window}-{seed}")
     sender = make_sender(SCHEME_RLC, ConvolutionalParams(n, k, window))
     receiver = ReceiverFec(SCHEME_RLC, SYMBOL, window=window)
-    originals, recovered, peak = {}, [], 0
+    originals, recovered = {}, []
     for _ in range(300):
         packet = random_packet(rnd)
         raw = push_packet(sender, packet)
@@ -497,12 +529,11 @@ def test_honest_chunked_rlc_streams_recover_and_never_raise(n, k, window, seed):
             for frame in chunks:
                 if rnd.random() >= 0.3:
                     recovered.extend(receiver.on_fec_frame(frame))
-            peak = max(peak, len(receiver._reassembly))
+                assert partial_bytes(receiver) <= SYMBOL
         sender.pending.clear()
     assert recovered
     for raw, data in recovered:
         assert data == originals[raw]
-    assert peak <= RLC_EVICT_WINDOWS * window
 
 
 @pytest.mark.parametrize(
@@ -510,19 +541,16 @@ def test_honest_chunked_rlc_streams_recover_and_never_raise(n, k, window, seed):
 )
 def test_receiver_drops_partial_repairs_with_their_block(scheme):
     """Only the first chunk of every repair arrives, over more blocks than
-    the backlog holds (or RLC windows than the decoder keeps): the partial
-    repairs are dropped with their block or window, not kept forever."""
+    the backlog holds (or RLC windows than the decoder keeps): the receiver
+    holds one partial repair, the newest, so none is kept forever."""
     rnd = random.Random(40)
     if scheme == SCHEME_RLC:
         params, window = ConvolutionalParams(3, 2, 4), 4
-        bound = (RLC_EVICT_WINDOWS * window + 1) * params.repairs + 1
     else:
         params, window = BlockCodeParams(6 if scheme == SCHEME_REED_SOLOMON else 5, 4), 1
-        bound = ReceiverFec.BLOCK_BACKLOG * params.repairs + 1
     sender = make_sender(scheme, params)
     receiver = ReceiverFec(scheme, SYMBOL, window=window)
     blocks = 3 * ReceiverFec.BLOCK_BACKLOG
-    peak = 0
     for _ in range(blocks * params.k):
         raw = push_packet(sender, random_packet(rnd))
         if raw % 2:  # lose every other source, so no block completes
@@ -530,9 +558,9 @@ def test_receiver_drops_partial_repairs_with_their_block(scheme):
         for pending in sender.pending:
             first = chunk_repair(pending, 20)[0]
             assert receiver.on_fec_frame(first) == []
+            assert receiver._partial.repair_id == first.repair_id
+            assert partial_bytes(receiver) == len(first.payload)
         sender.pending.clear()
-        peak = max(peak, len(receiver._reassembly))
-    assert peak <= bound < blocks * params.repairs
     assert len(receiver._blocks) <= ReceiverFec.BLOCK_BACKLOG
 
 
@@ -611,13 +639,13 @@ def test_receiver_reports_only_committed_packets(
     code, width, count, flush_rate, loss, dup, reorder, forge, seed
 ):
     """Every packet ReceiverFec reports is byte-equal to one SenderFec
-    committed and was not received.  Its block state and partial repairs
-    stay within the backlog or the RLC decoder's horizon.  A forged repair
+    committed and was not received.  Its block state stays within the
+    backlog, and its one partial repair within one symbol.  A forged repair
     frame that re-announces its block's code shape (for RLC, a window wider
     than the code's) after the block's first repair arrived raises
     MalformedFrame whenever the block is still open, and is otherwise
     dropped; an honest frame never raises."""
-    scheme, params, _, window = PROPERTY_CODES[code]
+    scheme, _, _, window = PROPERTY_CODES[code]
     rnd = random.Random(seed)  # packet bytes and per-item fates
     wire, originals = coded_wire(code, width, count, flush_rate, rnd)
     if width == FEC_SYMBOL_SIZE:
@@ -682,13 +710,7 @@ def test_receiver_reports_only_committed_packets(
             if is_frame:
                 repaired_blocks.add(block)
             assert len(receiver._blocks) <= PROPERTY_BACKLOG
-            assert len(receiver._reassembly) <= PROPERTY_BACKLOG * params.repairs
-            assert all(
-                receiver._blocks.get(p.repair_id >> 40) for p in receiver._reassembly.values()
-            )
-        else:
-            horizon = receiver._rlc.horizon
-            assert all(p.repair_id >> 32 >= horizon for p in receiver._reassembly.values())
+        assert partial_bytes(receiver) <= width
 
 
 # ---------------------------------------------------------------------------
