@@ -134,7 +134,7 @@ def ack_with_gaps(ranges: int = RANGES) -> AckFrame:
 def server_with_flight() -> Connection:
     conn = Connection("server", ConnectionConfig())
     for pn in range(1, FLIGHT + 1):
-        conn._sent[pn] = SentRecord(pn, 0, MAX_PACKET_SIZE, [])
+        conn._sent[pn] = SentRecord(pn, 0, MAX_PACKET_SIZE)
     conn._next_pn = FLIGHT + 1
     conn._bytes_in_flight = FLIGHT * MAX_PACKET_SIZE
     return conn

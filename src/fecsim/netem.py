@@ -12,7 +12,7 @@ for a given seed no matter which side transmits first.
 
 A packet is one :class:`Datagram` (the transport's ``OutPacket``) from
 ``Connection.flush`` to the peer: :meth:`Host.pump` sets its ``src`` and
-``dst`` hosts and :meth:`Link._arrive` calls ``dgram.dst.on_datagram``.
+``dst`` hosts and the link delivers it to ``dgram.dst.on_datagram``.
 Every event runs ``fn(arg)``, and each host keeps one timer event armed.
 """
 
@@ -203,7 +203,6 @@ class PredicateLoss:
 class LinkStats:
     wire_bytes: int = 0
     wire_packets: int = 0
-    delivered_packets: int = 0
     random_drops: int = 0
     queue_drops: int = 0
 
@@ -255,15 +254,11 @@ class Link:
         stats.wire_bytes += len(dgram.data)
         stats.wire_packets += 1
         if self.loss is None or self.loss.decide(dgram):
-            self.sim.schedule_at(self.sim.now_us + self.delay_us, self._arrive, dgram)
+            self.sim.schedule_at(self.sim.now_us + self.delay_us, dgram.dst.on_datagram, dgram)
         else:
             self.stats.random_drops += 1
             if self._trace:
                 self._trace("drop_random", dgram)
-
-    def _arrive(self, dgram: Datagram) -> None:
-        self.stats.delivered_packets += 1
-        dgram.dst.on_datagram(dgram)
 
 
 class Host:

@@ -272,14 +272,8 @@ class RlcDecoder:
         self._symbols: dict[int, np.ndarray] = {}
         self._equations: list[_Equation] = []
         self._newest = -1
-        self._horizon = 0
+        self._horizon = 0  # the oldest offset kept; older repairs are dropped
         self._since_sweep = 0
-
-    @property
-    def horizon(self) -> int:
-        """The oldest sequence offset kept; a repair whose window starts
-        below it is dropped."""
-        return self._horizon
 
     # -- feeding ------------------------------------------------------------
 

@@ -30,9 +30,13 @@ connection without FEC keep the full :data:`STREAM_BUDGET`.
 
 A sent packet leaves the flight one way, ``Connection._retire``, for one
 of four reasons: it is acknowledged; it is declared lost, which queues
-its frames again and signals congestion; the peer reports it recovered,
-which signals congestion but resends nothing; or the probe abandons it
-when nothing worth probing is left.
+its frame, keyed by packet number, and signals congestion; the peer
+reports it recovered, which signals congestion but resends nothing; or
+the probe abandons it when nothing worth probing is left.  The flight's
+:class:`SentRecord` is the sender's one record of a packet; a hole (in
+flight, below the largest acknowledged) is a record with ``hole_since``
+set.  Holes lead the flight and a loss retires its oldest packet, so
+lost frames wait in ascending packet-number order.
 
 The receiver keeps the packet numbers it received in a
 :class:`~fecsim.frames.RangeSet` and acknowledges the newest
@@ -256,9 +260,10 @@ class SentRecord:
     packet_number: int
     send_time_us: int
     size: int
-    retransmittable: list
+    frame: object = None  # the stream or handshake frame to resend if lost
     # packet numbers this feedback packet reported in a Recovered frame
     recovered: frozenset = frozenset()
+    hole_since: Optional[int] = None  # when an ACK first listed a larger pn
 
 
 class SendStream:
@@ -400,12 +405,11 @@ class Connection:
         self._sent: dict[int, SentRecord] = {}
         self._bytes_in_flight = 0
         self._hs_outbox: deque[int] = deque()
-        self._retransmit: deque = deque()
-        self._probe_frames: Optional[list] = None
+        self._retransmit: dict[int, object] = {}  # lost pn -> frame, ascending
+        self._probe: object = None  # the frame of a probe due at the next flush
         self._send_stream: Optional[SendStream] = None
         self._cc = NewReno()
         self._rtt = RttEstimator()
-        self._hole_since: dict[int, int] = {}
         self._tlp_anchor: Optional[int] = None
         self._largest_acked = 0
 
@@ -571,8 +575,8 @@ class Connection:
         for pn in list(takewhile(largest.__gt__, self._sent)):
             if largest - pn >= PACKET_REORDER_THRESHOLD:
                 self._declare_lost(pn, now, "reorder_threshold")
-            else:
-                self._hole_since.setdefault(pn, now)
+            elif self._sent[pn].hole_since is None:
+                self._sent[pn].hole_since = now
         self._check_time_losses(now)
 
     def _on_recovered_frame(self, frame: RecoveredFrame, now: int) -> None:
@@ -580,12 +584,8 @@ class Connection:
             raise ProtocolViolation(f"peer recovered unsent packet {frame.largest}")
         # the peer has the data: drop any retransmission still queued for
         # these packets, even if they were already declared lost
-        if self._retransmit:
-            listed = RangeSet()
-            listed.bounds = list(frame.bounds)
-            self._retransmit = deque(
-                item for item in self._retransmit if item[0] not in listed
-            )
+        for pn in listed_in_flight(self._retransmit, frame):
+            del self._retransmit[pn]
         # packets already acked, lost or recovered are not in flight: ignored
         for pn in listed_in_flight(self._sent, frame):
             rec = self._retire(pn)
@@ -598,8 +598,8 @@ class Connection:
         rec = self._retire(pn)
         self.stats.lost_packets += 1
         self._trace("lost", pn, reason)
-        if rec.retransmittable:
-            self._retransmit.extend((pn, f) for f in rec.retransmittable)
+        if rec.frame is not None:
+            self._retransmit[pn] = rec.frame
         self._on_loss(rec, now)
 
     def _retire(self, pn: int) -> SentRecord:
@@ -607,7 +607,6 @@ class Connection:
         whether acked, lost, recovered by the peer or abandoned."""
         rec = self._sent.pop(pn)
         self._bytes_in_flight -= rec.size
-        self._hole_since.pop(pn, None)
         return rec
 
     def _on_loss(self, rec: SentRecord, now: int) -> None:
@@ -617,13 +616,14 @@ class Connection:
             self._trace("cwnd_reduce", rec.packet_number, "cwnd=%.0f", self._cc.cwnd)
 
     def _check_time_losses(self, now: int) -> None:
-        # Holes are opened in time order, so the expired ones come first.
+        # The holes lead the flight and open in time order, so the
+        # expired ones come first.
         threshold = max(1, self._rtt.srtt_us // HOLE_TIME_FRACTION)
-        while self._hole_since:
-            pn, since = next(iter(self._hole_since.items()))
-            if now - since < threshold:
+        while self._sent:
+            rec = next(iter(self._sent.values()))
+            if rec.hole_since is None or now - rec.hole_since < threshold:
                 break
-            self._declare_lost(pn, now, "time_threshold")
+            self._declare_lost(rec.packet_number, now, "time_threshold")
 
     # -- timers -----------------------------------------------------------------
 
@@ -632,10 +632,10 @@ class Connection:
         if self._sent and self._tlp_anchor is not None:
             tlp = self._tlp_anchor + TLP_SRTT_MULTIPLIER * self._rtt.srtt_us
             deadline = tlp if deadline is None else min(deadline, tlp)
-        if self._hole_since:  # the oldest hole is the first one
-            hole = next(iter(self._hole_since.values())) + max(
-                1, self._rtt.srtt_us // HOLE_TIME_FRACTION
-            )
+        # the oldest hole, if any, is the first packet in flight
+        since = next(iter(self._sent.values())).hole_since if self._sent else None
+        if since is not None:
+            hole = since + max(1, self._rtt.srtt_us // HOLE_TIME_FRACTION)
             deadline = hole if deadline is None else min(deadline, hole)
         return deadline
 
@@ -651,13 +651,11 @@ class Connection:
             self._fire_probe(now)
 
     def _fire_probe(self, now: int) -> None:
-        newest: Optional[SentRecord] = None
-        for pn in reversed(self._sent):
-            if self._sent[pn].retransmittable:
-                newest = self._sent[pn]
-                break
+        newest = next(
+            (rec for rec in reversed(self._sent.values()) if rec.frame is not None), None
+        )
         if newest is not None:
-            self._probe_frames = list(newest.retransmittable)
+            self._probe = newest.frame
             self.stats.probe_packets += 1
             self._trace("tlp_probe", newest.packet_number, "resend")
         elif (
@@ -665,7 +663,7 @@ class Connection:
             and not self._send_stream.fin_sent
             and self._handshake_done
         ):
-            self._probe_frames = [self._send_stream.next_frame(self._stream_budget)]
+            self._probe = self._send_stream.next_frame(self._stream_budget)
             self.stats.probe_packets += 1
             self._trace("tlp_probe", None, "new_data")
         else:
@@ -681,12 +679,11 @@ class Connection:
 
     def flush(self, now: int) -> list[OutPacket]:
         out = []
-        if self._probe_frames is not None:
-            frames = self._probe_frames
-            self._probe_frames = None
+        if self._probe is not None:
             # probes escape the congestion window: a fully lost flight
             # would otherwise deadlock
-            out.append(self._build(now, frames, "probe", retransmission=True))
+            out.append(self._build(now, [self._probe], "probe", retransmission=True))
+            self._probe = None
         while True:
             pkt = self._next_packet(now)
             if pkt is None:
@@ -734,7 +731,7 @@ class Connection:
         if self._retransmit:
             if not self._cwnd_ok():
                 return None
-            _, frame = self._retransmit.popleft()
+            frame = self._retransmit.pop(next(iter(self._retransmit)))
             kind = "stream" if type(frame) is StreamFrame else "hs"
             return self._build(now, [frame], kind, retransmission=True)
         stream = self._send_stream
@@ -751,7 +748,7 @@ class Connection:
             or self._send_stream is None
             or not self._send_stream.fin_sent
             or self._retransmit
-            or self._probe_frames is not None
+            or self._probe is not None
         ):
             return False
         return self._sender_fec.flush()
@@ -767,19 +764,16 @@ class Connection:
     def _build(
         self, now: int, frames: list, kind: str, retransmission: bool = False
     ) -> OutPacket:
-        has_stream = ack_eliciting = False
-        retransmittable = []
+        ack_eliciting = False
+        resend = None  # no caller passes more than one resendable frame
         for f in frames:
             frame_kind = type(f)
             if frame_kind is AckFrame:
                 continue
             ack_eliciting = True
-            if frame_kind is StreamFrame:
-                has_stream = True
-                retransmittable.append(f)
-            elif frame_kind is HandshakeFrame:
-                retransmittable.append(f)
-        protect = has_stream and self._sender_fec is not None
+            if frame_kind is StreamFrame or frame_kind is HandshakeFrame:
+                resend = f
+        protect = type(resend) is StreamFrame and self._sender_fec is not None
         pn = self._next_pn
         self._next_pn += 1
         source_id = None
@@ -792,7 +786,7 @@ class Connection:
         if protect:
             self._sender_fec.commit_source(source_id, data)
         if ack_eliciting:
-            self._sent[pn] = SentRecord(pn, now, len(data), retransmittable)
+            self._sent[pn] = SentRecord(pn, now, len(data), resend)
             self._bytes_in_flight += len(data)
             self._tlp_anchor = now
         if retransmission:
@@ -803,20 +797,21 @@ class Connection:
         return OutPacket(data, pn, kind)
 
 
-def listed_in_flight(
-    sent: dict[int, SentRecord], frame: AckFrame | RecoveredFrame
-) -> list[int]:
+def listed_in_flight(sent: dict, frame: AckFrame | RecoveredFrame) -> list[int]:
     """The packet numbers in ``sent`` that ``frame`` lists, ascending: the
     sender's one reader of range lists, through which ACK and Recovered
-    frames both retire the flight.
+    frames both retire the flight and Recovered frames prune the queued
+    retransmissions.
 
-    ``sent`` is keyed in send order, so its first and last keys bound the
-    flight.  The walk takes the ranges newest first, skips those above the
-    newest packet in flight and stops at the first below the oldest.  Each
-    range is clipped to the flight and probed once per packet number,
-    unless it is still wider than the flight (an old range merged by
-    :meth:`RangeSet.prune`); then the flight is filtered instead.  A range
-    costs at most the smaller of its width and the flight.
+    ``sent`` may be any dict whose keys ascend, as the flight's do in send
+    order and the retransmission queue's do in loss order, so its first
+    and last keys bound the flight.  The walk takes the ranges newest
+    first, skips those above the newest packet in flight and stops at the
+    first below the oldest.  Each range is clipped to the flight and
+    probed once per packet number, unless it is still wider than the
+    flight (an old range merged by :meth:`RangeSet.prune`); then the
+    flight is filtered instead.  A range costs at most the smaller of its
+    width and the flight.
     """
     if not sent:
         return []

@@ -4,18 +4,29 @@ FEC recovery behaviour, congestion-signal equivalence, reproducibility."""
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fecsim.experiments import LossSpec, Scenario, run_transfer
 from fecsim.framework import FecFrame
 from fecsim.frames import parse_packet
-from fecsim.netem import PredicateLoss, SimulationRunaway, serialization_us
+from fecsim.netem import (
+    PredicateLoss,
+    ScriptedLoss,
+    SimulationRunaway,
+    UniformLoss,
+    serialization_us,
+)
 from fecsim.transport import (
     FEC_PACKET_CAP,
     FEC_STREAM_BUDGET,
     FEC_SYMBOL_SIZE,
+    RECOVERED_STRATEGIES,
     STREAM_BUDGET,
+    ConnectionConfig,
     FecConfig,
 )
+from transfer_monitor import monitored_transfer
 
 CLEAN = Scenario("clean", 1_890_000, 380_500, LossSpec("none"))
 UNIFORM = Scenario("uni", 468_000, 131_000, LossSpec("uniform", p=0.033))
@@ -246,3 +257,37 @@ def test_event_budget_violation_is_annotated():
     with pytest.raises(SimulationRunaway) as err:
         run_transfer(UNIFORM, None, 1_000_000, seed=0, max_events=500)
     assert "uni/baseline/1000000B" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Sender invariants over drawn transfers
+
+DROP_LIST = st.sets(st.integers(0, 60), max_size=15).map(
+    lambda drops: ScriptedLoss([i not in drops for i in range(max(drops, default=-1) + 1)])
+)
+BOUNDED_UNIFORM = st.builds(
+    UniformLoss, st.floats(0.0, 0.2), seed=st.integers(0, 2**32 - 1)
+)
+
+
+@given(
+    bandwidth_bps=st.sampled_from([468_000, 1_890_000, 8_000_000]),
+    one_way_delay_us=st.integers(1_000, 400_000),
+    queue_packets=st.integers(4, 50),
+    loss=st.one_of(DROP_LIST, BOUNDED_UNIFORM),
+    variant=st.sampled_from(sorted(VARIANTS)),
+    strategy=st.sampled_from(RECOVERED_STRATEGIES),
+    size_bytes=st.integers(1, 20_000),
+)
+def test_sender_invariants_hold_over_drawn_transfers(
+    bandwidth_bps, one_way_delay_us, queue_packets, loss, variant, strategy, size_bytes
+):
+    """Every loss declaration retires the oldest packet in flight, lost
+    frames queue in ascending packet-number order, and no packet carries
+    two resendable frames, on any path, loss and variant."""
+    config = ConnectionConfig(fec=VARIANTS[variant], recovered_strategy=strategy)
+    client = monitored_transfer(
+        bandwidth_bps, one_way_delay_us, queue_packets, loss, config, size_bytes,
+        max_events=200_000,
+    )
+    assert client.complete_at_us is not None

@@ -488,6 +488,51 @@ def test_tail_loss_probe_fires_after_two_srtt():
     assert [f.offset for f in frames] == [offs[stream[-1].packet_number]]
 
 
+def repair_only_flight(size):
+    """An rs(30, 20) server streaming ``size`` bytes whose peer acknowledges
+    each flight up to its newest stream packet, 100 ms after it, until
+    only repair packets are left in flight.  The server has not flushed
+    since that last ACK.  Returns the server and the repair packets'
+    numbers."""
+    srv, stream = make_server(size, fec=FecConfig.rs(30, 20))
+    now = 0
+    for pn in range(3, 10):
+        now += 100_000
+        deliver(srv, Packet(pn, [AckFrame.of((1, stream[-1].packet_number))]), now)
+        if srv._sent and all(rec.frame is None for rec in srv._sent.values()):
+            assert not srv._retransmit
+            return srv, list(srv._sent)
+        stream = [p for p in srv.flush(now) if p.kind == "stream"]
+    raise AssertionError("the flight never held only repair packets")
+
+
+def test_probe_sends_new_data_when_no_packet_in_flight_can_be_resent():
+    srv, repairs = repair_only_flight(1_000_000)
+    offset = srv._send_stream.next_offset
+    deadline = srv.next_timer_us()
+    srv.on_timer(deadline)
+    assert ("tlp_probe", None, "new_data") in srv.traces
+    assert srv.stats.probe_packets == 1
+    probe = srv.flush(deadline)[0]
+    assert probe.kind == "probe"
+    assert [f.offset for f in parse_packet(probe.data).frames] == [offset]
+    # the repairs stay in flight, and the probe joins them
+    assert {*repairs, probe.packet_number} <= srv._sent.keys()
+
+
+def test_probe_abandons_a_flight_of_repairs_once_the_stream_is_sent():
+    srv, repairs = repair_only_flight(8_000)
+    assert srv._send_stream.fin_sent
+    cwnd = srv.cwnd
+    srv.on_timer(srv.next_timer_us())
+    assert [pn for ev, pn, _ in srv.traces if ev == "abandoned"] == repairs
+    assert not srv._sent and srv.bytes_in_flight == 0
+    # no probe and no congestion signal
+    assert srv.stats.probe_packets == 0 and srv.stats.lost_packets == 0
+    assert srv.cwnd == cwnd
+    assert srv.next_timer_us() is None
+
+
 def test_ack_of_unsent_packet_is_protocol_violation():
     srv, _ = make_server()
     with pytest.raises(ProtocolViolation):
@@ -575,7 +620,7 @@ def server_with_flight(traces):
         trace=lambda ev, pn, detail: traces.append((ev, pn, detail)),
     )
     for pn in range(1, FLIGHT + 1):
-        srv._sent[pn] = SentRecord(pn, pn * 100, MAX_PACKET_SIZE, [])
+        srv._sent[pn] = SentRecord(pn, pn * 100, MAX_PACKET_SIZE)
     srv._next_pn = FLIGHT + 1
     srv._bytes_in_flight = FLIGHT * MAX_PACKET_SIZE
     srv._tlp_anchor = FLIGHT * 100
@@ -734,15 +779,16 @@ def test_late_recovered_purges_queued_retransmission():
 
 @st.composite
 def recovered_cases(draw):
-    """A flight, a queue of lost packets' frames awaiting retransmission in
-    any order, the start of the last reduction round and a Recovered frame
-    whose ranges stay below the next packet number."""
-    roles = draw(st.dictionaries(st.integers(1, 300), st.integers(0, 2), max_size=40))
+    """A flight, a queue of lost packets' frames awaiting retransmission,
+    one per packet number in ascending order as losses queue them, the
+    start of the last reduction round and a Recovered frame whose ranges
+    stay below the next packet number."""
+    roles = draw(st.dictionaries(st.integers(1, 300), st.booleans(), max_size=40))
     flight = sorted(pn for pn, queued in roles.items() if not queued)
     queue = [
-        (pn, StreamFrame(0, 10 * pn + j, False, b"x"))
-        for pn, queued in roles.items()
-        for j in range(queued)
+        (pn, StreamFrame(0, 10 * pn, False, b"x"))
+        for pn, queued in sorted(roles.items())
+        if queued
     ]
     ranges = _ascending_ranges(
         draw(
@@ -753,7 +799,7 @@ def recovered_cases(draw):
     )
     next_pn = max(ranges[-1][1], *roles, 0) + 1 + draw(st.integers(0, 5))
     recovery_start = draw(st.integers(-1, 300 * 100))
-    return flight, draw(st.permutations(queue)), recovery_start, ranges, next_pn
+    return flight, queue, recovery_start, ranges, next_pn
 
 
 @settings(deadline=None)
@@ -773,9 +819,9 @@ def test_recovered_frame_matches_brute_force(case):
         "server", ConnectionConfig(), trace=lambda ev, pn, detail: traces.append((ev, pn))
     )
     for pn in flight:
-        srv._sent[pn] = SentRecord(pn, pn * 100, 100 + pn, [])
+        srv._sent[pn] = SentRecord(pn, pn * 100, 100 + pn)
     srv._bytes_in_flight = sum(100 + pn for pn in flight)
-    srv._retransmit.extend(queue)
+    srv._retransmit.update(queue)
     srv._cc._recovery_start = recovery_start
     srv._next_pn = next_pn
     cwnd = srv.cwnd
@@ -789,7 +835,7 @@ def test_recovered_frame_matches_brute_force(case):
     assert [pn for ev, pn in traces if ev == "peer_recovered"] == retired
     assert [pn for ev, pn in traces if ev == "cwnd_reduce"] == reducing
     assert list(srv._sent) == [pn for pn in flight if not listed(pn)]
-    assert list(srv._retransmit) == [item for item in queue if not listed(item[0])]
+    assert list(srv._retransmit.items()) == [item for item in queue if not listed(item[0])]
     assert srv.stats.peer_recovered_packets == len(retired)
     assert srv.stats.cwnd_reductions == len(reducing)
     assert srv.cwnd == (max(cwnd / 2, srv._cc.min_window) if reducing else cwnd)
@@ -802,9 +848,9 @@ def test_wide_recovered_frame_costs_no_more_than_its_ranges():
     srv = Connection("server", ConnectionConfig())
     flight = (1, 500_000, 1_000_000)
     for pn in flight:
-        srv._sent[pn] = SentRecord(pn, pn, MAX_PACKET_SIZE, [])
+        srv._sent[pn] = SentRecord(pn, pn, MAX_PACKET_SIZE)
     srv._bytes_in_flight = len(flight) * MAX_PACKET_SIZE
-    srv._retransmit.append((2, StreamFrame(0, 0, False, b"x")))
+    srv._retransmit[2] = StreamFrame(0, 0, False, b"x")
     srv._next_pn = 1_000_001
     data = encode_packet(Packet(1, [RecoveredFrame.of((1, 1_000_000))]))
     tracemalloc.start()
