@@ -31,8 +31,8 @@ The JSON records:
   - ``encode_packet`` and ``parse_packet`` of a full protected packet
     holding one stream frame;
   - ``Simulator.run`` per no-op event, over 1000 events at increasing
-    times, and ``GilbertElliottLoss.sequence`` of 10,000 decisions at the
-    middle of the sampled parameter box.
+    times, and ``GilbertElliottLoss.decide``, which ``Link._finish`` calls
+    for every packet, at the middle of the sampled parameter box.
   Symbols are 1208 bytes, ``symbol_size_for(MAX_PACKET_SIZE)``: the
   width the perfbench ``codec`` workload codes at.  The transport codes
   at ``FEC_SYMBOL_SIZE`` (1168 bytes) so that a repair symbol fits one
@@ -213,9 +213,7 @@ def netem_micro() -> dict:
             "median_us": per_run["median_us"] / EVENTS,
             "events_per_sample": EVENTS,
         },
-        "netem.gilbert_elliott_sequence_10k": bench_call(
-            lambda: loss.sequence(10_000), number=20
-        ),
+        "netem.gilbert_elliott_decide": bench_call(loss.decide),
     }
 
 

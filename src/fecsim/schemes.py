@@ -382,11 +382,9 @@ class RlcDecoder:
         horizon = self._newest - RLC_EVICT_WINDOWS * self.window
         if horizon > self._horizon:
             self._horizon = horizon
+        # an equation's unknowns all lie at or above its window start
         self._equations = [
-            eq
-            for eq in self._equations
-            if eq.window_start >= self._horizon
-            and min(eq.coeffs) >= self._horizon
+            eq for eq in self._equations if eq.window_start >= self._horizon
         ]
         self._since_sweep += 1
         if self._since_sweep >= 256:

@@ -17,6 +17,13 @@ their own unprotected packets, and a receiver that repairs a loss can
 acknowledge the packet and report the repair in a Recovered frame so the
 sender still hears the congestion signal without retransmitting.
 
+One method picks each outbound packet, in this order: a pending probe,
+the handshake reply, a due ACK (after any Recovered frame), then repairs,
+lost frames and new data.  Probes and feedback escape the congestion
+window, so a fully lost flight cannot deadlock and a shut window never
+holds back an ACK; everything else waits for it.  Once the stream has
+drained and no lost frame waits, the partial coding block is closed.
+
 Every repair symbol fits one repair frame, so each repair is one packet.
 The connection sends repairs straight from ``SenderFec.pending``, oldest
 first, each as the one frame :func:`~fecsim.framework.chunk_repair` makes
@@ -416,9 +423,9 @@ class Connection:
         # receive side
         self._received_pns = RangeSet()
         self._recovered_pending: set[int] = set()
-        self._ack_queued = False  # acknowledge at the next flush
-        # set while one ack-eliciting packet waits for its ACK
-        self._ack_deadline: Optional[int] = None
+        # when the next ACK is due: at once, or MAX_ACK_DELAY_US after the
+        # one ack-eliciting packet still waiting for it
+        self._ack_due: Optional[int] = None
         self._recv_stream = RecvStream(pattern_bytes if role == "client" else None)
 
         self._handshake_done = False
@@ -465,15 +472,15 @@ class Connection:
         pn = pkt.packet_number
         received = self._received_pns
         if not received.add(pn):
-            self._ack_queued = True  # acknowledge again, ignore the payload
+            self._ack_due = now  # acknowledge again, ignore the payload
             return
         # in order: the newest range ends at pn and holds pn - 1
         in_order = received.bounds[-1] == pn and received.bounds[-2] < pn
         if self._on_frames(pn, pkt.frames, now):
-            if self._ack_deadline is not None or not in_order:
-                self._ack_queued = True  # the second one waiting, or out of order
+            if self._ack_due is None and in_order:
+                self._ack_due = now + MAX_ACK_DELAY_US
             else:
-                self._ack_deadline = now + MAX_ACK_DELAY_US
+                self._ack_due = now  # the second one waiting, or out of order
         if pkt.fec_protected and self._receiver_fec is not None:
             self._trace("src_symbol", pn, "id=%d", pkt.source_id)
             self._on_recovered(
@@ -493,7 +500,7 @@ class Connection:
             if kind is StreamFrame:
                 self._on_stream_frame(frame, now)
             elif kind is HandshakeFrame:
-                self._ack_queued = True
+                self._ack_due = now
                 self._on_handshake_frame(frame, now)
             elif kind is FecFrame and self._receiver_fec is not None:
                 self._trace("repair_symbol", pn, "id=%#x", frame.repair_id)
@@ -515,7 +522,7 @@ class Connection:
             self._trace("recovered", pn, "")
             if self._strategy != STRATEGY_NO_ACK:
                 self._received_pns.add(pn)
-                self._ack_queued = True  # it fills a hole: out of order
+                self._ack_due = now  # it fills a hole: out of order
             if self._strategy == STRATEGY_RECOVERED_FRAME:
                 self._recovered_pending.add(pn)
             self._on_frames(pn, pkt.frames, now)
@@ -525,7 +532,7 @@ class Connection:
         was_complete = stream.complete
         stream.insert(frame.offset, frame.data, frame.fin)
         if stream.complete and not was_complete:
-            self._ack_queued = True
+            self._ack_due = now
             if self.role == "server":
                 self._start_response(now)
             else:
@@ -628,7 +635,7 @@ class Connection:
     # -- timers -----------------------------------------------------------------
 
     def next_timer_us(self) -> Optional[int]:
-        deadline = self._ack_deadline
+        deadline = self._ack_due
         if self._sent and self._tlp_anchor is not None:
             tlp = self._tlp_anchor + TLP_SRTT_MULTIPLIER * self._rtt.srtt_us
             deadline = tlp if deadline is None else min(deadline, tlp)
@@ -640,8 +647,6 @@ class Connection:
         return deadline
 
     def on_timer(self, now: int) -> None:
-        if self._ack_deadline is not None and now >= self._ack_deadline:
-            self._ack_queued = True
         self._check_time_losses(now)
         if (
             self._sent
@@ -679,32 +684,24 @@ class Connection:
 
     def flush(self, now: int) -> list[OutPacket]:
         out = []
-        if self._probe is not None:
-            # probes escape the congestion window: a fully lost flight
-            # would otherwise deadlock
-            out.append(self._build(now, [self._probe], "probe", retransmission=True))
-            self._probe = None
-        while True:
-            pkt = self._next_packet(now)
-            if pkt is None:
-                if self._maybe_flush_fec():
-                    continue
-                break
+        while (pkt := self._next_packet(now)) is not None:
             out.append(pkt)
         return out
 
-    def _cwnd_ok(self) -> bool:
-        return self._bytes_in_flight + MAX_PACKET_SIZE <= self._cc.cwnd
-
     def _next_packet(self, now: int) -> Optional[OutPacket]:
-        if self._hs_outbox:
-            if not self._cwnd_ok():
-                return None
-            return self._build(now, [HandshakeFrame(self._hs_outbox.popleft())], "hs")
-        if self._ack_queued:
+        """The next packet to send, in the order the module docstring gives."""
+        if self._probe is not None:
+            frame, self._probe = self._probe, None
+            return self._build(now, [frame], "probe", frame, retransmission=True)
+        cwnd_ok = self._bytes_in_flight + MAX_PACKET_SIZE <= self._cc.cwnd
+        if self._hs_outbox and cwnd_ok:
+            frame = HandshakeFrame(self._hs_outbox.popleft())
+            return self._build(now, [frame], "hs", frame)
+        if self._ack_due is not None and self._ack_due <= now:
+            self._ack_due = None
             frames: list = []
             carried = None
-            if self._strategy == STRATEGY_RECOVERED_FRAME and self._recovered_pending:
+            if self._recovered_pending:
                 # the Recovered frame precedes the ACK so the sender sees
                 # the repair before the acknowledgement of those packets;
                 # the pns repeat until a packet carrying them is acked
@@ -714,44 +711,28 @@ class Connection:
                     ranges.add(pn)
                 frames.append(ranges.frame(RecoveredFrame, len(ranges)))
             frames.append(self._ack_frame())
-            self._ack_queued = False
-            self._ack_deadline = None
             pkt = self._build(now, frames, "feedback")
             if carried:
                 self._sent[pkt.packet_number].recovered = carried
             return pkt
-        if self._sender_fec is not None and self._sender_fec.pending:
-            if not self._cwnd_ok():
-                return None
+        fec = self._sender_fec
+        stream = self._send_stream
+        if fec is not None and stream is not None and stream.fin_sent and not self._retransmit:
+            fec.flush()  # the stream has drained: close the partial block
+        if not cwnd_ok:
+            return None
+        if fec is not None and fec.pending:
             # one symbol, one frame: the unpack checks the symbol sizing
-            (frame,) = framework.chunk_repair(
-                self._sender_fec.pending.pop(0), REPAIR_CHUNK_BUDGET
-            )
+            (frame,) = framework.chunk_repair(fec.pending.pop(0), REPAIR_CHUNK_BUDGET)
             return self._build(now, [frame], "repair")
         if self._retransmit:
-            if not self._cwnd_ok():
-                return None
             frame = self._retransmit.pop(next(iter(self._retransmit)))
             kind = "stream" if type(frame) is StreamFrame else "hs"
-            return self._build(now, [frame], kind, retransmission=True)
-        stream = self._send_stream
+            return self._build(now, [frame], kind, frame, retransmission=True)
         if stream is not None and not stream.fin_sent and self._handshake_done:
-            if not self._cwnd_ok():
-                return None
-            return self._build(now, [stream.next_frame(self._stream_budget)], "stream")
+            frame = stream.next_frame(self._stream_budget)
+            return self._build(now, [frame], "stream", frame)
         return None
-
-    def _maybe_flush_fec(self) -> bool:
-        """Close partial coding blocks once the stream has fully drained."""
-        if (
-            self._sender_fec is None
-            or self._send_stream is None
-            or not self._send_stream.fin_sent
-            or self._retransmit
-            or self._probe is not None
-        ):
-            return False
-        return self._sender_fec.flush()
 
     def _ack_frame(self) -> AckFrame:
         # Old gaps are final on a FIFO path: the sender has long since
@@ -762,17 +743,10 @@ class Connection:
         return received.frame(AckFrame, ACK_RANGE_CAP)
 
     def _build(
-        self, now: int, frames: list, kind: str, retransmission: bool = False
+        self, now: int, frames: list, kind: str, resend=None, retransmission=False
     ) -> OutPacket:
-        ack_eliciting = False
-        resend = None  # no caller passes more than one resendable frame
-        for f in frames:
-            frame_kind = type(f)
-            if frame_kind is AckFrame:
-                continue
-            ack_eliciting = True
-            if frame_kind is StreamFrame or frame_kind is HandshakeFrame:
-                resend = f
+        """Number, encode and record one packet of ``frames``; ``resend``
+        is its one stream or handshake frame, kept to resend if lost."""
         protect = type(resend) is StreamFrame and self._sender_fec is not None
         pn = self._next_pn
         self._next_pn += 1
@@ -785,7 +759,7 @@ class Connection:
             raise AssertionError(f"built a {len(data)}-byte packet (max {cap})")
         if protect:
             self._sender_fec.commit_source(source_id, data)
-        if ack_eliciting:
+        if type(frames[0]) is not AckFrame:  # only a bare ACK elicits none
             self._sent[pn] = SentRecord(pn, now, len(data), resend)
             self._bytes_in_flight += len(data)
             self._tlp_anchor = now

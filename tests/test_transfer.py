@@ -1,13 +1,14 @@
 """End-to-end transfers over the emulated path: reliability under loss,
 FEC recovery behaviour, congestion-signal equivalence, reproducibility."""
 
+import hashlib
 import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fecsim.experiments import LossSpec, Scenario, run_transfer
+from fecsim.experiments import PRESETS, LossSpec, Scenario, lhs_scenarios, run_transfer
 from fecsim.framework import FecFrame
 from fecsim.frames import parse_packet
 from fecsim.netem import (
@@ -251,6 +252,26 @@ def test_same_seed_reproduces_identical_traces():
     assert (a.dct_us, a.wire_bytes) == (b.dct_us, b.wire_bytes)
     c = run_transfer(UNIFORM, VARIANTS["rlc"], 10_000, seed=6, collect_trace=True)
     assert c.trace_text != a.trace_text
+
+
+def test_lossy_trace_bytes_are_pinned():
+    """The concatenated trace text of 60 lossy transfers (da2gc and two
+    sampled bursty paths; every FEC variant under every recovery strategy,
+    baseline with Recovered frames only; 10 and 50 kB at seed 7), against
+    the sha256 recorded when it last changed on purpose.  It covers
+    losses, recoveries, probes and abandoned packets, so a refactor of the
+    send path that moves any packet or timer moves this value."""
+    digest = hashlib.sha256()
+    for scenario in [PRESETS["da2gc"], *lhs_scenarios(7, 4)[:2]]:
+        for size in (10_000, 50_000):
+            for fec in VARIANTS.values():
+                strategies = RECOVERED_STRATEGIES if fec else RECOVERED_STRATEGIES[:1]
+                for strategy in strategies:
+                    result = run_transfer(
+                        scenario, fec, size, seed=7, strategy=strategy, collect_trace=True
+                    )
+                    digest.update(result.trace_text.encode())
+    assert digest.hexdigest() == "782f96e614ccf1a40b5496c851ef59f3315008f9c2cd63478a9d15aed7798537"
 
 
 def test_event_budget_violation_is_annotated():

@@ -1018,6 +1018,16 @@ def test_ack_goes_out_at_once(case):
     assert cli.next_timer_us() is None
 
 
+def test_ack_goes_out_while_the_window_holds_back_the_handshake():
+    """The handshake reply waits for the window, the ACK of the peer's
+    handshake does not: feedback escapes the window."""
+    srv = Connection("server", ConnectionConfig())
+    srv._cc.cwnd = 100  # below one packet
+    deliver(srv, Packet(1, [HandshakeFrame(0)]), 0)
+    assert [p.kind for p in srv.flush(10)] == ["feedback"]
+    assert srv.next_timer_us() is None
+
+
 def test_flight_never_exceeds_cwnd_at_send_time():
     srv, stream = make_server(size=500_000)
     s = [p.packet_number for p in stream]
