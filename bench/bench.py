@@ -15,6 +15,10 @@ The JSON records:
   - ``rlc_coefficients`` and ``rlc_encode`` for a 20-symbol window, and
     ``RlcDecoder.add_repair`` of a repair over that window that rebuilds
     its one missing source;
+  - ``SenderFec.next_source_id`` plus ``commit_source`` per source, for
+    each of the harness codes xor, rs and rlc, at ``FEC_SYMBOL_SIZE``,
+    the repairs each group emits included (samples of 400 sources,
+    whole groups of every code);
   - ``Connection._on_ack_frame`` on a 300-packet flight, encoding an
     ACK and ``parse_frames`` of one, at 1, 12, 22 and 32 ranges (1, 12
     and 22 are the mean ranges per ACK measured on ``fecsim run --seed
@@ -33,10 +37,11 @@ The JSON records:
   - ``Simulator.run`` per no-op event, over 1000 events at increasing
     times, and ``GilbertElliottLoss.decide``, which ``Link._finish`` calls
     for every packet, at the middle of the sampled parameter box.
-  Symbols are 1208 bytes, ``symbol_size_for(MAX_PACKET_SIZE)``: the
-  width the perfbench ``codec`` workload codes at.  The transport codes
-  at ``FEC_SYMBOL_SIZE`` (1168 bytes) so that a repair symbol fits one
-  repair frame; the row cost scales with the width;
+  The coding-layer symbols are 1208 bytes,
+  ``symbol_size_for(MAX_PACKET_SIZE)``: the width the perfbench ``codec``
+  workload codes at.  The transport codes at ``FEC_SYMBOL_SIZE`` (1168
+  bytes) so that a repair symbol fits one repair frame; the row cost
+  scales with the width;
 * ``receiver_state``: the bytes ``tracemalloc`` sees a ``ReceiverFec``
   gain from its 2,000th to its 20,000th source, for each of the harness
   codes xor, rs and rlc, with every 50th source lost and every repair fed.
@@ -122,6 +127,7 @@ RLC_SEED = 0xBEEF
 RECEIVER_SPAN = (2_000, 20_000)
 RECEIVER_LOSS_EVERY = 50
 FORGED_REPAIRS = 8
+SENDER_SOURCES = 400  # whole groups of every harness code
 
 
 def ack_with_gaps(ranges: int = RANGES) -> AckFrame:
@@ -295,6 +301,28 @@ def coding_micro() -> dict:
     }
 
 
+def sender_micro() -> dict:
+    """``next_source_id`` plus ``commit_source`` per source at the
+    transport's symbol width, repairs included, for each harness code."""
+    packet = pattern_bytes(0, FEC_SYMBOL_SIZE - 2)
+    out = {}
+    for code in ("xor", "rs", "rlc"):
+        cfg = experiments.VARIANTS[code]
+        sender = SenderFec(cfg.scheme, cfg.make_params(), FEC_SYMBOL_SIZE)
+        sender.configure_lanes(cfg.lanes)
+        for _ in range(SENDER_SOURCES):
+            sender.commit_source(sender.next_source_id(), packet)
+        if len(sender.pending) != SENDER_SOURCES // cfg.k * cfg.repairs:
+            raise SystemExit(f"{code}: every whole group must emit its repairs")
+
+        def commit(sender=sender) -> None:
+            sender.commit_source(sender.next_source_id(), packet)
+            sender.pending.clear()
+
+        out[f"framework.sender_commit_{code}"] = bench_call(commit, number=SENDER_SOURCES)
+    return out
+
+
 def receiver_state() -> dict:
     """The receiver-state entries.  The sender's state is bounded and its
     repairs are dropped once fed, so the growth is the receiver's.  The
@@ -305,8 +333,7 @@ def receiver_state() -> dict:
     for code in ("xor", "rs", "rlc"):
         cfg = experiments.VARIANTS[code]
         sender = SenderFec(cfg.scheme, cfg.make_params(), SYMBOL)
-        if cfg.lanes > 1:
-            sender.configure_lanes(cfg.lanes)
+        sender.configure_lanes(cfg.lanes)
         receiver = ReceiverFec(cfg.scheme, SYMBOL, window=max(1, cfg.window))
         recovered = 0
         tracemalloc.start()
@@ -431,6 +458,7 @@ def main() -> int:
         },
         "micro": {
             **coding_micro(),
+            **sender_micro(),
             **ack_micro(),
             **ack_build_micro(),
             **loss_path_micro(),

@@ -4,7 +4,8 @@ This module owns everything between the transport and the raw codes:
 
 * source payload identifiers (32-bit) and repair identifiers (64-bit),
 * the repair frame wire format,
-* sender-side emission scheduling (block completion / window steps): each
+* sender-side emission scheduling: each code is one coding group per lane
+  (an open block, or the RLC window) that emits every k sources, and each
   repair symbol is queued on ``SenderFec.pending`` as one whole frame
   (``F`` set, chunk 0), which the transport sends as it is,
 * :func:`chunk_repair`, which splits a symbol wider than one frame's
@@ -205,51 +206,46 @@ def parse_fec_frame(buf: bytes, offset: int = 0) -> tuple[FecFrame, int]:
 class SenderFec:
     """Per-endpoint encoder state and repair emission scheduling.
 
-    Block schemes emit their n - k repairs when a block fills; the
-    convolutional scheme emits its repairs every k-th source symbol.
-    ``flush`` closes partial blocks / window steps at end of stream, with
-    the actual source count advertised in the frames.
+    Sources are dealt in turn over ``lanes`` coding groups, one unless XOR
+    interleaves, and a group emits its repairs once k sources have joined
+    it since its last emission.  A block code's group is its lane's open
+    block: it closes when it emits, and the lane's next block number is
+    ``lanes`` higher.  RLC's one group is its window of the last c symbols,
+    which keeps sliding.  ``flush`` (end of stream) emits every group that
+    holds sources no repair covers yet, with the actual source count
+    advertised in the frames.
     """
 
     def __init__(self, scheme: int, config, symbol_size: int):
+        if scheme not in (SCHEME_XOR, SCHEME_REED_SOLOMON, SCHEME_RLC):
+            raise UnknownScheme(f"scheme 0x{scheme:02x}")
+        rlc = scheme == SCHEME_RLC
+        needed = ConvolutionalParams if rlc else BlockCodeParams
+        if not isinstance(config, needed):
+            raise schemes.InvalidParams(f"scheme 0x{scheme:02x} needs {needed.__name__}")
+        self._span = config.c if rlc else config.k  # the most a group holds
+        if max(config.k, config.repairs, self._span) > 255:
+            raise schemes.InvalidParams("k, n-k and the window must fit 8 bits")
         self.scheme = scheme
+        self.params = config
         self.symbol_size = symbol_size
         self.pending: list[FecFrame] = []  # whole repair symbols, oldest first
         self._pending_id: Optional[int] = None
         self._counter = 0  # sources committed so far; the RLC source id
-        if scheme in (SCHEME_XOR, SCHEME_REED_SOLOMON):
-            if not isinstance(config, BlockCodeParams):
-                raise schemes.InvalidParams("block scheme needs BlockCodeParams")
-            if config.k > 255 or config.repairs > 255:
-                raise schemes.InvalidParams("k and n-k must fit 8 bits")
-            self.params = config
-            self.lanes = 1
-            self._lane_symbols: list[list[np.ndarray]] = [[]]
-            self._lane_blocks: list[int] = [0]
-        elif scheme == SCHEME_RLC:
-            if not isinstance(config, ConvolutionalParams):
-                raise schemes.InvalidParams("RLC needs ConvolutionalParams")
-            if config.k > 255 or config.repairs > 255 or config.c > 255:
-                raise schemes.InvalidParams(
-                    "k, n-k and the window must fit the 8-bit frame fields"
-                )
-            self.params = config
-            self._window: list[tuple[int, np.ndarray]] = []
-            self._since_step = 0
-            self._repair_counter = 0
-        else:
-            raise UnknownScheme(f"scheme 0x{scheme:02x}")
+        self._repair_counter = 0  # RLC repairs emitted; seeds their coefficients
+        self.configure_lanes(1)
 
     def configure_lanes(self, lanes: int) -> None:
-        """Interleave consecutive sources over ``lanes`` independent blocks
-        (lane = block number mod lanes).  XOR only."""
-        if self.scheme != SCHEME_XOR:
+        """Deal consecutive sources over ``lanes`` coding groups in turn
+        (lane = block number mod lanes).  More than one lane is XOR only."""
+        if lanes > 1 and self.scheme != SCHEME_XOR:
             raise schemes.InvalidParams("lane interleaving is an XOR feature")
         if lanes < 1 or self._counter:
             raise schemes.InvalidParams("lanes must be set before the first symbol")
         self.lanes = lanes
-        self._lane_symbols = [[] for _ in range(lanes)]
-        self._lane_blocks = [0] * lanes
+        self._groups: list[list[np.ndarray]] = [[] for _ in range(lanes)]
+        self._joined = [0] * lanes  # sources since each group last emitted
+        self._blocks = list(range(lanes))  # each lane's open block number
 
     # -- source registration --------------------------------------------
 
@@ -263,8 +259,7 @@ class SenderFec:
             raw = self._counter
         else:
             lane = self._counter % self.lanes
-            block = self._lane_blocks[lane] * self.lanes + lane
-            raw = block_source_id(block, len(self._lane_symbols[lane]))
+            raw = block_source_id(self._blocks[lane], len(self._groups[lane]))
         self._pending_id = raw
         return raw
 
@@ -273,78 +268,57 @@ class SenderFec:
         if self._pending_id != raw_id:
             raise FecFrameworkError("commit does not match the reserved id")
         self._pending_id = None
-        symbol = frame_symbol(packet_bytes, self.symbol_size)
-        if self.scheme == SCHEME_RLC:
-            self._counter += 1
-            self._window.append((raw_id, symbol))
-            if len(self._window) > self.params.c:
-                self._window.pop(0)
-            self._since_step += 1
-            if self._since_step >= self.params.k:
-                self._emit_window_repairs()
-        else:
-            lane = self._counter % self.lanes
-            self._counter += 1
-            self._lane_symbols[lane].append(symbol)
-            if len(self._lane_symbols[lane]) >= self.params.k:
-                self._emit_block(lane)
+        lane = self._counter % self.lanes
+        self._counter += 1
+        group = self._groups[lane]
+        group.append(frame_symbol(packet_bytes, self.symbol_size))
+        if len(group) > self._span:
+            del group[0]  # the RLC window slides
+        self._joined[lane] += 1
+        if self._joined[lane] >= self.params.k:
+            self._emit(lane)
 
     def flush(self) -> bool:
-        """Close partial blocks / window steps (end of stream); returns
-        whether that queued any repair."""
+        """Emit every group holding sources no repair covers yet (end of
+        stream); returns whether that queued any repair."""
         if self._pending_id is not None:
             raise FecFrameworkError("cannot flush with an uncommitted source")
         queued = len(self.pending)
-        if self.scheme == SCHEME_RLC:
-            if self._since_step and self._window:
-                self._emit_window_repairs()
-        else:
-            for lane in range(self.lanes):
-                if self._lane_symbols[lane]:
-                    self._emit_block(lane)
+        for lane, joined in enumerate(self._joined):
+            if joined:
+                self._emit(lane)
         return len(self.pending) > queued
 
     # -- emission ---------------------------------------------------------
 
-    def _emit_block(self, lane: int) -> None:
-        symbols = self._lane_symbols[lane]
-        block = self._lane_blocks[lane] * self.lanes + lane
-        nss = len(symbols)
-        if self.scheme == SCHEME_XOR:
-            repairs = [schemes.xor_encode(symbols)]
+    def _emit(self, lane: int) -> None:
+        """Queue the repairs over ``lane``'s group; a block group closes."""
+        group = self._groups[lane]
+        self._joined[lane] = 0
+        if self.scheme == SCHEME_RLC:
+            start = self._counter - len(group)  # RLC ids count the sources
+            seeds = [self._next_seed() for _ in range(self.params.repairs)]
+            repairs = [
+                (conv_repair_id(start, seed), schemes.rlc_encode(group, start, seed))
+                for seed in seeds
+            ]
         else:
-            repairs = schemes.rs_encode(symbols, self.params)
-        for idx, repair in enumerate(repairs):
-            self.pending.append(
-                FecFrame(
-                    True,
-                    0,
-                    block_repair_id(block, idx, repair.scheme_specific),
-                    nss,
-                    len(repairs),
-                    repair.payload.tobytes(),
-                )
-            )
-        self._lane_symbols[lane] = []
-        self._lane_blocks[lane] += 1
-
-    def _emit_window_repairs(self) -> None:
-        self._since_step = 0
-        window_start = self._window[0][0]
-        symbols = [sym for _, sym in self._window]
-        for _ in range(self.params.repairs):
-            seed = self._next_seed()
-            repair = schemes.rlc_encode(symbols, window_start, seed)
-            self.pending.append(
-                FecFrame(
-                    True,
-                    0,
-                    conv_repair_id(window_start, seed),
-                    len(symbols),
-                    self.params.repairs,
-                    repair.payload.tobytes(),
-                )
-            )
+            block = self._blocks[lane]
+            if self.scheme == SCHEME_XOR:
+                coded = [schemes.xor_encode(group)]
+            else:
+                coded = schemes.rs_encode(group, self.params)
+            repairs = [
+                (block_repair_id(block, idx, repair.scheme_specific), repair)
+                for idx, repair in enumerate(coded)
+            ]
+            self._groups[lane] = []
+            self._blocks[lane] = block + self.lanes
+        nss, nrs = len(group), len(repairs)
+        self.pending += [
+            FecFrame(True, 0, rid, nss, nrs, repair.payload.tobytes())
+            for rid, repair in repairs
+        ]
 
     def _next_seed(self) -> int:
         self._repair_counter += 1

@@ -135,8 +135,9 @@ RECOVERED_STRATEGIES = (
 
 class ProtocolViolation(Exception):
     """The peer sent something the protocol forbids: references to packets
-    this endpoint never sent, a malformed request or corrupted stream
-    bytes."""
+    this endpoint never sent, a malformed request or one longer than a
+    packet, a response of another size than requested, or corrupted
+    stream bytes."""
 
 
 # Whole periods of the response pattern, at least one more than a packet holds.
@@ -400,8 +401,7 @@ class Connection:
             self._sender_fec = SenderFec(
                 fec.scheme, fec.make_params(), FEC_SYMBOL_SIZE
             )
-            if fec.scheme == SCHEME_XOR and fec.lanes > 1:
-                self._sender_fec.configure_lanes(fec.lanes)
+            self._sender_fec.configure_lanes(fec.lanes)
             self._receiver_fec = ReceiverFec(
                 fec.scheme, FEC_SYMBOL_SIZE, window=max(1, fec.window)
             )
@@ -529,6 +529,9 @@ class Connection:
 
     def _on_stream_frame(self, frame: StreamFrame, now: int) -> None:
         stream = self._recv_stream
+        end = frame.offset + len(frame.data)
+        if self.role == "server" and end > self._stream_budget:
+            raise ProtocolViolation(f"request data ends at {end}, past one packet")
         was_complete = stream.complete
         stream.insert(frame.offset, frame.data, frame.fin)
         if stream.complete and not was_complete:
@@ -536,6 +539,10 @@ class Connection:
             if self.role == "server":
                 self._start_response(now)
             else:
+                if stream.cursor != self.request_size:
+                    raise ProtocolViolation(
+                        f"{stream.cursor}-byte response, {self.request_size} requested"
+                    )
                 self.complete_at_us = now
                 self._trace("response_complete", None, f"bytes={stream.cursor}")
 

@@ -38,8 +38,13 @@ from fecsim.schemes import (
     BlockCodeParams,
     ConvolutionalParams,
     InvalidParams,
+    frame_symbol,
+    rlc_encode,
+    rs_encode,
     symbol_size_for,
+    xor_encode,
 )
+from fecsim.rng import splitmix64_mix
 from fecsim.transport import FEC_SYMBOL_SIZE, REPAIR_CHUNK_BUDGET
 
 SYMBOL = 64  # small symbol size keeps the tests fast
@@ -251,6 +256,111 @@ def test_sender_id_reservation_protocol():
     with pytest.raises(Exception):
         sender.next_source_id()  # must commit before reserving again
     sender.commit_source(raw, b"ok")
+
+
+def emission_model(scheme, params, lanes, ops):
+    """The source ids and repair frames (repair id, nss, nrs, payload) a
+    sender owes after each of ``ops`` (a packet to commit, or None to
+    flush), each emission recomputed from the whole history of commits.
+    Source i joins lane i mod ``lanes``; a lane emits once k of its sources
+    came since its last emission, or at a flush if any did.  A block is
+    the lane's sources since then, numbered lane + lanes * (the lane's
+    emissions so far); the RLC window is the last c of all sources, and
+    its j-th repair overall has seed ``splitmix64_mix(j)`` (1 if that is
+    zero)."""
+    history = []  # (lane, symbol) per commit
+    last = [0] * lanes  # history length at each lane's last emission
+    emissions = [0] * lanes
+    ids, frames, owed = [], [], []
+
+    def fresh(lane):
+        return [sym for i, (ln, sym) in enumerate(history) if ln == lane and i >= last[lane]]
+
+    def emit(lane):
+        group = fresh(lane)
+        if scheme == SCHEME_RLC:
+            window = [sym for _, sym in history[-params.c :]]
+            start = len(history) - len(window)
+            seeds = []
+            for _ in range(params.repairs):
+                seed = splitmix64_mix(len(frames) + len(seeds) + 1) & 0xFFFFFFFF
+                seeds.append(seed or 1)
+            out = [
+                (conv_repair_id(start, seed), rlc_encode(window, start, seed).payload)
+                for seed in seeds
+            ]
+            nss = len(window)
+        else:
+            block = lane + lanes * emissions[lane]
+            coded = [xor_encode(group)] if scheme == SCHEME_XOR else rs_encode(group, params)
+            out = [
+                (block_repair_id(block, idx, r.scheme_specific), r.payload)
+                for idx, r in enumerate(coded)
+            ]
+            nss = len(group)
+        frames.extend((rid, nss, len(out), payload.tobytes()) for rid, payload in out)
+        last[lane] = len(history)
+        emissions[lane] += 1
+
+    for packet in ops:
+        if packet is None:
+            for lane in range(lanes):
+                if fresh(lane):
+                    emit(lane)
+        else:
+            lane = len(history) % lanes
+            if scheme == SCHEME_RLC:
+                ids.append(len(history))
+            else:
+                ids.append(block_source_id(lane + lanes * emissions[lane], len(fresh(lane))))
+            history.append((lane, frame_symbol(packet, SYMBOL)))
+            if len(fresh(lane)) == params.k:
+                emit(lane)
+        owed.append(list(frames))
+    return ids, owed
+
+
+@st.composite
+def sender_codes(draw):
+    """(scheme, params, lanes): xor over 1-4 lanes, short rs and rlc codes."""
+    code = draw(st.sampled_from(["xor", "rs", "rlc"]))
+    k = draw(st.integers(1, 5))
+    if code == "xor":
+        return SCHEME_XOR, BlockCodeParams(k + 1, k), draw(st.integers(1, 4))
+    if code == "rs":
+        return SCHEME_REED_SOLOMON, BlockCodeParams(k + draw(st.integers(0, 3)), k), 1
+    n = k + draw(st.integers(1, 3))
+    return SCHEME_RLC, ConvolutionalParams(n, k, k + draw(st.integers(0, 4))), 1
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    code=sender_codes(),
+    # a packet length to commit, or None to flush; commits follow flushes,
+    # as when the transport resends a lost frame after its block closed
+    ops=st.lists(st.one_of(st.none(), st.integers(1, SYMBOL - 2)), max_size=40),
+)
+def test_sender_emission_matches_model(code, ops):
+    scheme, params, lanes = code
+    packets = [
+        None if n is None else bytes((i + j) % 256 for j in range(n))
+        for i, n in enumerate(ops)
+    ]
+    ids, owed = emission_model(scheme, params, lanes, packets)
+    sender = make_sender(scheme, params)
+    sender.configure_lanes(lanes)
+    got = []
+    for packet, frames in zip(packets, owed):
+        if packet is None:
+            queued = len(sender.pending)
+            assert sender.flush() == (len(frames) > queued)
+        else:
+            got.append(push_packet(sender, packet))
+        assert [
+            (f.repair_id, f.nss, f.nrs, f.payload) for f in sender.pending
+        ] == frames
+        assert all(f.fin and f.chunk_offset == 0 for f in sender.pending)
+    assert got == ids
 
 
 # ---------------------------------------------------------------------------

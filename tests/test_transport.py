@@ -898,11 +898,11 @@ def test_ack_ranges_are_sorted_disjoint_and_capped():
         largest_seen = ack.largest
 
 
-def acked_client():
-    """A client past the handshake with its own packets acknowledged, so
-    that only its receive side arms a timer.  The peer's packets 1 and 2
-    have arrived and no ack-eliciting packet waits."""
-    cli = Connection("client", ConnectionConfig(), request_size=10)
+def acked_client(size):
+    """A client of a ``size``-byte response, past the handshake with its own
+    packets acknowledged, so that only its receive side arms a timer.  The
+    peer's packets 1 and 2 have arrived and no ack-eliciting packet waits."""
+    cli = Connection("client", ConnectionConfig(), request_size=size)
     cli.start(0)
     cli.flush(0)
     deliver(cli, Packet(1, [HandshakeFrame(1)]), 1000)
@@ -925,7 +925,7 @@ def feed_receiver(n, arrivals):
     MAX_ACK_DELAY_US of its arrival, and that ``next_timer_us`` never lies
     past the deadline of the oldest one waiting.  Returns the number of
     feedback packets sent."""
-    cli = acked_client()
+    cli = acked_client(100 * n)
     waiting = {}  # packet number -> arrival, not yet acknowledged
     feedback = 0
 
@@ -984,7 +984,7 @@ def test_in_order_packets_get_one_feedback_packet_per_two(n, gaps):
 
 
 def test_in_order_packet_is_acked_with_the_next_or_after_max_ack_delay():
-    cli = acked_client()
+    cli = acked_client(900)
     deliver(cli, response_packet(0, 9), 5000)
     assert cli.flush(5000) == []
     assert cli.next_timer_us() == 5000 + MAX_ACK_DELAY_US
@@ -1002,18 +1002,20 @@ def test_in_order_packet_is_acked_with_the_next_or_after_max_ack_delay():
     assert ack.largest == 5
 
 
+# case: (response size, packet)
 ACK_AT_ONCE = {
-    "out_of_order": response_packet(1, 9),
-    "duplicate": Packet(1, [HandshakeFrame(1)]),
-    "handshake": Packet(3, [HandshakeFrame(1)]),
-    "completing_fin": response_packet(0, 1),
+    "out_of_order": (900, response_packet(1, 9)),
+    "duplicate": (900, Packet(1, [HandshakeFrame(1)])),
+    "handshake": (900, Packet(3, [HandshakeFrame(1)])),
+    "completing_fin": (100, response_packet(0, 1)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ACK_AT_ONCE))
 def test_ack_goes_out_at_once(case):
-    cli = acked_client()
-    deliver(cli, ACK_AT_ONCE[case], 5000)
+    size, packet = ACK_AT_ONCE[case]
+    cli = acked_client(size)
+    deliver(cli, packet, 5000)
     assert [p.kind for p in cli.flush(5000)] == ["feedback"]
     assert cli.next_timer_us() is None
 
@@ -1057,7 +1059,9 @@ def fec_server_first_stream_packet_dropped(cfg):
 
 
 def fec_client(cfg, trace=None):
-    cli = Connection("client", cfg, request_size=10, trace=trace)
+    """A client past the handshake of the 2,000-byte response that
+    :func:`fec_server_first_stream_packet_dropped` serves."""
+    cli = Connection("client", cfg, request_size=2000, trace=trace)
     cli.start(0)
     cli.flush(0)
     cli.on_datagram(encode_packet(Packet(1, [HandshakeFrame(1)])), 1000)
@@ -1210,6 +1214,31 @@ def test_client_completes_once():
     assert [tr for tr in traces if tr[0] == "response_complete"] == [
         ("response_complete", None, "bytes=4")
     ]
+
+
+@pytest.mark.parametrize("size", [10, 999, 1001])
+def test_client_rejects_a_response_of_another_size(size):
+    """A complete response shorter or longer than the request asked for is
+    the peer's fault, never a download the harness records as done."""
+    cli = acked_client(1000)
+    with pytest.raises(ProtocolViolation):
+        deliver(cli, Packet(3, [StreamFrame(0, 0, True, pattern_bytes(0, size))]), 5000)
+    assert cli.complete_at_us is None
+
+
+@pytest.mark.parametrize("fec", [None, FecConfig.rs(3, 2)], ids=["plain", "fec"])
+def test_server_refuses_request_data_past_one_packet(fec):
+    """``GET n`` for any 64-bit n fits one packet's stream data, so a
+    request that runs past it is refused before the server buffers it."""
+    srv = Connection("server", ConnectionConfig(fec=fec))
+    deliver(srv, Packet(1, [HandshakeFrame(0)]), 0)
+    budget = srv._stream_budget
+    assert len(b"GET %d" % (2**64 - 1)) == 24 < budget
+    deliver(srv, Packet(2, [StreamFrame(0, 0, False, b"G" * budget)]), 0)
+    for pn, offset in enumerate([budget, 10 * budget], start=3):
+        with pytest.raises(ProtocolViolation):
+            deliver(srv, Packet(pn, [StreamFrame(0, offset, False, b"E" * 1000)]), 0)
+    assert len(srv._recv_stream.data) == budget
 
 
 # Well-formed payloads are one symbol wide, so each case fails for its name.
