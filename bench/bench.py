@@ -50,7 +50,12 @@ The JSON records:
   ``ReceiverFec`` at ``FEC_SYMBOL_SIZE`` hold after a flood of 8 forged
   repairs, each sent as 255 non-final chunks of 32,767 bytes (the widest
   chunk a repair frame carries), every chunk parsed from its own wire
-  bytes, with the number of chunks it refused;
+  bytes, with the number of chunks it refused.  Last,
+  ``transport.forged_stream_bytes``: the bytes ``tracemalloc`` sees a
+  client of a 10 MB response gain from 2,000 pattern frames of 1,000 B,
+  each in its own packet and 1,000 B past the one before, so none
+  reaches offset 0.  A receive stream that keeps byte ranges, not bytes,
+  holds bytes per range;
 * ``outputs``: the sha256, the heap events (the sum of
   ``Simulator.events_run`` over the run), the feedback packets (those
   ``Connection.flush`` returns with ``kind == "feedback"``, over every
@@ -97,6 +102,7 @@ from fecsim.framework import (  # noqa: E402
 from fecsim.netem import GilbertElliottLoss, Simulator  # noqa: E402
 from fecsim.frames import (  # noqa: E402
     AckFrame,
+    HandshakeFrame,
     Packet,
     StreamFrame,
     encode_frame,
@@ -127,6 +133,7 @@ RLC_SEED = 0xBEEF
 RECEIVER_SPAN = (2_000, 20_000)
 RECEIVER_LOSS_EVERY = 50
 FORGED_REPAIRS = 8
+FORGED_STREAM = (10_000_000, 2_000, 1_000)  # response size, frames, bytes per frame
 SENDER_SOURCES = 400  # whole groups of every harness code
 
 
@@ -360,6 +367,7 @@ def receiver_state() -> dict:
             "recovered": recovered,
         }
         out[f"framework.forged_chunk_bytes_{code}"] = forged_chunk_bytes(cfg)
+    out["transport.forged_stream_bytes"] = forged_stream_bytes()
     return out
 
 
@@ -392,6 +400,35 @@ def forged_chunk_bytes(cfg) -> dict:
     finally:
         tracemalloc.stop()
     return {"bytes": held, "chunks": chunks, "refused": refused}
+
+
+def forged_stream_bytes() -> dict:
+    """The bytes a client holds after ``FORGED_STREAM``'s gapped pattern
+    frames, which its request size allows but which leave its cursor at
+    0.  The packets are encoded before tracing starts."""
+    size, frames, width = FORGED_STREAM
+    cli = Connection("client", ConnectionConfig(), request_size=size)
+    cli.start(0)
+    cli.flush(0)
+    cli.on_datagram(encode_packet(Packet(1, [HandshakeFrame(1)])), 1000)
+    cli.flush(1000)
+    offsets = range(width, 2 * width * frames, 2 * width)
+    wires = [
+        encode_packet(Packet(2 + i, [StreamFrame(0, off, False, pattern_bytes(off, width))]))
+        for i, off in enumerate(offsets)
+    ]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for i, wire in enumerate(wires):
+            cli.on_datagram(wire, 2000 + i)
+            cli.flush(2000 + i)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    if cli.received_bytes != 0:
+        raise SystemExit("no forged frame may reach the cursor")
+    return {"bytes": held, "frames": frames, "frame_bytes": width, "request_size": size}
 
 
 def bench_call(fn, number: int = 2000, repeat: int = 15) -> dict:

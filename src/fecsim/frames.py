@@ -36,7 +36,7 @@ Whether the ranges name sent packets is the transport's check
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional, Union
@@ -110,8 +110,9 @@ class RangeSet:
     ascending bounds ``[lo0, hi0, lo1, hi1, ...]``.
 
     For :meth:`frame` the set keeps the values of every range but the
-    newest, packed at the last width used.  Only the next packet in order
-    leaves them as they are; any other change drops them."""
+    newest, packed at the last width used.  Only an add that starts just
+    above the newest range leaves them as they are; any other change drops
+    them."""
 
     def __init__(self) -> None:
         self.bounds: list[int] = []
@@ -125,20 +126,25 @@ class RangeSet:
         if b and b[-1] == value - 1:  # the next packet in order
             b[-1] = value
             return True
-        i = bisect_right(b, value)
-        if i & 1 or i and b[i - 1] == value:
-            return False  # inside a range, or its top
-        self._older = None
-        if i and b[i - 1] == value - 1:
-            if i < len(b) and b[i] == value + 1:
-                del b[i - 1 : i + 1]  # closes the gap between two ranges
-            else:
-                b[i - 1] = value
-        elif i < len(b) and b[i] == value + 1:
-            b[i] = value
-        else:
-            b[i:i] = (value, value)
+        if value in self:
+            return False
+        self.add_range(value, value)
         return True
+
+    def add_range(self, lo: int, hi: int) -> None:
+        """Add the values ``lo`` to ``hi`` (``lo <= hi``), merging every
+        range they overlap or touch."""
+        b = self.bounds
+        if b and b[-1] == lo - 1:  # the next range in order
+            b[-1] = hi
+            return
+        self._older = None
+        i = bisect_left(b, lo - 1) & ~1  # the first range ending at lo - 1 or above
+        j = bisect_right(b, hi + 1)
+        j += j & 1  # past the last range starting at hi + 1 or below
+        if i < j:
+            lo, hi = min(lo, b[i]), max(hi, b[j - 1])
+        b[i:j] = (lo, hi)
 
     def __contains__(self, value: int) -> bool:
         b = self.bounds

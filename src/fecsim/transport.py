@@ -8,6 +8,10 @@ pattern back.  The connection is a pure state machine driven by the
 emulator: it consumes datagrams and timer expirations, and produces
 datagrams via :meth:`flush`, each one :class:`OutPacket` that the emulator
 carries to the peer as it is.  All times are integer microseconds.
+Stream bytes are handled once, as their frame arrives: the client checks
+them against :func:`pattern_bytes` and refuses any response longer or
+shorter than it requested, the server copies its one-packet request into a
+buffer, and :class:`RecvStream` records only which byte ranges arrived.
 
 Reliability comes from three sender mechanisms (packet-threshold loss
 detection, a hole timer at srtt/8, and a tail loss probe at 2*srtt) plus
@@ -136,7 +140,7 @@ RECOVERED_STRATEGIES = (
 class ProtocolViolation(Exception):
     """The peer sent something the protocol forbids: references to packets
     this endpoint never sent, a malformed request or one longer than a
-    packet, a response of another size than requested, or corrupted
+    packet, a response longer or shorter than requested, or corrupted
     stream bytes."""
 
 
@@ -294,25 +298,26 @@ class SendStream:
 
 
 class RecvStream:
-    """In-order reassembly with duplicate suppression.
+    """The byte ranges received on a stream and its final size, not the
+    bytes: the connection checks or keeps those as each frame arrives.
+    ``cursor`` counts the bytes received from offset 0 without a gap."""
 
-    Delivered bytes are kept in ``data`` (the server's tiny request) unless
-    ``expect_fn`` checks them instead (the client's response pattern).
-    """
-
-    def __init__(self, expect_fn: Optional[Callable[[int, int], bytes]] = None):
-        self._segments: dict[int, bytes] = {}
-        self.cursor = 0
+    def __init__(self):
+        self.ranges = RangeSet()
         self.final_size: Optional[int] = None
-        self._expect_fn = expect_fn
-        self.data: Optional[bytearray] = bytearray() if expect_fn is None else None
+
+    @property
+    def cursor(self) -> int:
+        b = self.ranges.bounds
+        return b[1] + 1 if b and b[0] == 0 else 0
 
     @property
     def complete(self) -> bool:
         return self.final_size is not None and self.cursor >= self.final_size
 
-    def insert(self, offset: int, data: bytes, fin: bool) -> None:
-        end = offset + len(data)
+    def insert(self, offset: int, n: int, fin: bool) -> None:
+        """Record ``n`` bytes at ``offset``, the last ones if ``fin``."""
+        end = offset + n
         # A known final size never changes and no data lies past it (RFC
         # 9000 section 4.5), so a complete stream stays complete.
         known = self.final_size
@@ -321,28 +326,11 @@ class RecvStream:
                 f"stream data ending at {end} conflicts with final size {known}"
             )
         if fin and known is None:
-            ends = [o + len(d) for o, d in self._segments.items()]
-            if end < self.cursor or end < max(ends, default=0):
+            if self.ranges.bounds and end <= self.ranges.bounds[-1]:
                 raise ProtocolViolation(f"final size {end} is below received data")
             self.final_size = end
-        segments = self._segments
-        if end <= self.cursor or len(data) <= len(segments.get(offset, b"")):
-            return  # stale, empty, or no longer than a buffered segment
-        segments[offset] = data
-        # Deliver every segment that reaches past the cursor from at or
-        # below it, trimming the head it shares with delivered data.
-        while segments:
-            start = self.cursor if self.cursor in segments else min(segments)
-            if start > self.cursor:
-                break
-            chunk = segments.pop(start)[self.cursor - start :]
-            if not chunk:
-                continue
-            if self.data is not None:
-                self.data.extend(chunk)
-            elif chunk != self._expect_fn(self.cursor, len(chunk)):
-                raise ProtocolViolation(f"stream corruption at offset {self.cursor}")
-            self.cursor += len(chunk)
+        if n:
+            self.ranges.add_range(offset, end - 1)
 
 
 @dataclass
@@ -426,7 +414,9 @@ class Connection:
         # when the next ACK is due: at once, or MAX_ACK_DELAY_US after the
         # one ack-eliciting packet still waiting for it
         self._ack_due: Optional[int] = None
-        self._recv_stream = RecvStream(pattern_bytes if role == "client" else None)
+        self._recv_stream = RecvStream()
+        # the server's request bytes; the client checks each frame instead
+        self._request = bytearray(self._stream_budget) if role == "server" else None
 
         self._handshake_done = False
         self.complete_at_us: Optional[int] = None
@@ -447,7 +437,7 @@ class Connection:
 
     @property
     def received_bytes(self) -> int:
-        """Contiguously delivered stream bytes."""
+        """Stream bytes received from offset 0 without a gap."""
         return self._recv_stream.cursor
 
     def _trace(self, event: str, pn: Optional[int], detail: str = "", *args) -> None:
@@ -528,26 +518,30 @@ class Connection:
             self._on_frames(pn, pkt.frames, now)
 
     def _on_stream_frame(self, frame: StreamFrame, now: int) -> None:
+        """Keep (server) or check (client) the frame's bytes, then record them."""
         stream = self._recv_stream
-        end = frame.offset + len(frame.data)
-        if self.role == "server" and end > self._stream_budget:
-            raise ProtocolViolation(f"request data ends at {end}, past one packet")
+        offset, data = frame.offset, frame.data
+        end = offset + len(data)
+        if self.role == "server":
+            if end > self._stream_budget:
+                raise ProtocolViolation(f"request data ends at {end}, past one packet")
+            self._request[offset:end] = data
+        elif end > self.request_size or frame.fin and end != self.request_size:
+            raise ProtocolViolation(f"response data to {end}, {self.request_size} requested")
+        elif data != pattern_bytes(offset, len(data)):
+            raise ProtocolViolation(f"stream corruption at offset {offset}")
         was_complete = stream.complete
-        stream.insert(frame.offset, frame.data, frame.fin)
+        stream.insert(offset, len(data), frame.fin)
         if stream.complete and not was_complete:
             self._ack_due = now
             if self.role == "server":
                 self._start_response(now)
             else:
-                if stream.cursor != self.request_size:
-                    raise ProtocolViolation(
-                        f"{stream.cursor}-byte response, {self.request_size} requested"
-                    )
                 self.complete_at_us = now
                 self._trace("response_complete", None, f"bytes={stream.cursor}")
 
     def _start_response(self, now: int) -> None:
-        size = pattern_request_size(bytes(self._recv_stream.data))
+        size = pattern_request_size(bytes(self._request[: self._recv_stream.final_size]))
         self._send_stream = SendStream(size, pattern_bytes)
         self._trace("request_received", None, f"size={size}")
 

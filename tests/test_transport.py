@@ -3,14 +3,16 @@ signaling, stream reassembly."""
 
 import math
 import tracemalloc
-from itertools import accumulate
+from itertools import accumulate, permutations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from fecsim.experiments import VARIANTS
 from fecsim.framework import (
     FecFrame,
+    FecFrameworkError,
     MalformedFrame,
     SenderFec,
     block_repair_id,
@@ -110,16 +112,27 @@ def _model_prune(values, max_ranges):
         values.update(range(ranges[0][0], ranges[len(ranges) - max_ranges][1] + 1))
 
 
+def weighted(*choices):
+    """Draw from each ``(strategy, weight)`` in proportion to its weight;
+    ``one_of`` draws its distinct branches alike and merges repeated ones."""
+    return st.sampled_from([s for s, w in choices for _ in range(w)]).flatmap(lambda s: s)
+
+
 ADD = st.tuples(st.just("add"), st.integers(0, 160))
+RANGE = st.tuples(
+    st.just("range"),
+    st.tuples(st.integers(0, 160), st.integers(0, 12)).map(lambda t: (t[0], sum(t))),
+)
 
 
 @settings(deadline=None)
 @given(
     st.lists(
-        st.one_of(
-            ADD, ADD, ADD, ADD, ADD, ADD,  # mostly adds, to reach > 32 ranges
-            st.tuples(st.just("prune"), st.integers(1, 80)),
-            st.tuples(st.just("ack"), st.just(0)),
+        weighted(
+            (ADD, 6),  # mostly adds, to reach > 32 ranges
+            (RANGE, 1),
+            (st.tuples(st.just("prune"), st.integers(1, 80)), 1),
+            (st.tuples(st.just("ack"), st.just(0)), 1),
         ),
         min_size=50,
         max_size=300,
@@ -135,19 +148,34 @@ ADD = st.tuples(st.just("add"), st.integers(0, 160))
     + [("ack", 0)],
     [0, 1, 2, 399],
 )
+# interval adds that bridge, swallow and extend ranges, then one in order
+@example(
+    [("add", v) for v in (3, 6, 9, 20)]
+    + [("range", (4, 8)), ("range", (0, 1)), ("range", (2, 2)), ("range", (10, 19))]
+    + [("ack", 0), ("range", (21, 30)), ("range", (25, 40)), ("ack", 0)],
+    [5, 21, 41],
+)
 def test_rangeset_and_ack_bounds_match_set_model(ops, flight):
     """Every ACK parses back to the newest 32 ranges of the set after
     pruning it to 64 (the bounds an ACK listed as u64 pairs before the
     range-list layout), its kept bytes equal a fresh encoding, and the
-    newest-first walk acks what a brute force over those ranges acks."""
+    newest-first walk acks what a brute force over those ranges acks.
+    Single and interval adds keep the bounds ascending, with a gap
+    between neighbouring ranges."""
     conn = Connection("client", ConnectionConfig(), request_size=1)
     rs = conn._received_pns
     model = set()
     sent = dict.fromkeys(flight)
     for op, v in ops:
+        probes = (v - 1, v, v + 1) if op != "range" else ()
         if op == "add":
             assert rs.add(v) == (v not in model)
             model.add(v)
+        elif op == "range":
+            lo, hi = v
+            rs.add_range(lo, hi)
+            model.update(range(lo, hi + 1))
+            probes = (lo - 1, lo, hi, hi + 1)
         elif op == "prune":
             rs.prune(v)
             _model_prune(model, v)
@@ -163,9 +191,12 @@ def test_rangeset_and_ack_bounds_match_set_model(ops, flight):
             assert listed_in_flight(sent, parsed) == [
                 pn for pn in sent if any(lo <= pn <= hi for lo, hi in newest)
             ]
-        assert rs.bounds == list(_flat(_model_ranges(model)))
+        b = rs.bounds
+        assert b == list(_flat(_model_ranges(model)))
+        # each lo <= its hi, and each hi + 1 < the next lo: no touching
+        assert all(b[i] + 2 * (i & 1) <= b[i + 1] for i in range(len(b) - 1))
         assert len(rs) == len(_model_ranges(model))
-        for probe in (v - 1, v, v + 1):
+        for probe in probes:
             assert (probe in rs) == (probe in model)
 
 
@@ -243,100 +274,113 @@ def test_send_stream_slices_and_marks_fin():
 
 def test_recv_stream_reorders_and_dedups():
     rs = RecvStream()
-    rs.insert(5, b"world", True)
+    rs.insert(5, 5, True)
     assert not rs.complete and rs.cursor == 0
-    rs.insert(0, b"hello", False)
+    rs.insert(0, 5, False)
     assert rs.complete and rs.cursor == 10
-    assert bytes(rs.data) == b"helloworld"
-    rs.insert(0, b"hello", False)  # stale duplicate
-    assert rs.cursor == 10
-
-
-def test_recv_stream_trims_partial_overlap():
-    rs = RecvStream()
-    rs.insert(0, b"abcd", False)
-    rs.insert(2, b"cdef", False)
-    assert bytes(rs.data) == b"abcdef"
-
-
-def test_recv_stream_detects_corruption():
-    rs = RecvStream(expect_fn=pattern_bytes)
-    rs.insert(0, pattern_bytes(0, 10), False)
-    with pytest.raises(ProtocolViolation):
-        rs.insert(10, b"\xff" * 4, False)
+    rs.insert(0, 5, False)  # stale duplicate
+    assert rs.cursor == 10 and rs.ranges.bounds == [0, 9]
 
 
 def test_recv_stream_final_size_never_changes():
     rs = RecvStream()
-    rs.insert(0, b"abcdef", True)
+    rs.insert(0, 6, True)
     assert rs.complete
-    rs.insert(0, b"abcdef", True)  # a resent FIN that agrees is fine
+    rs.insert(0, 6, True)  # a resent FIN that agrees is fine
     with pytest.raises(ProtocolViolation):
-        rs.insert(100, b"", True)
+        rs.insert(100, 0, True)
     assert rs.complete and rs.final_size == 6
 
 
 def test_recv_stream_rejects_fin_that_moves_a_pending_final_size():
     rs = RecvStream()
-    rs.insert(5, b"world", True)
+    rs.insert(5, 5, True)
     with pytest.raises(ProtocolViolation):
-        rs.insert(0, b"hello", True)
+        rs.insert(0, 5, True)
     assert rs.final_size == 10
 
 
 @pytest.mark.parametrize("delivered", [True, False])
 def test_recv_stream_rejects_final_size_below_received_data(delivered):
     rs = RecvStream()
-    rs.insert(0 if delivered else 2, b"abcd", False)
+    rs.insert(0 if delivered else 2, 4, False)
     with pytest.raises(ProtocolViolation):
-        rs.insert(0, b"ab", True)
+        rs.insert(0, 2, True)
     assert rs.final_size is None and not rs.complete
 
 
 def test_recv_stream_rejects_data_past_final_size():
     rs = RecvStream()
-    rs.insert(0, b"abc", True)
+    rs.insert(0, 3, True)
     with pytest.raises(ProtocolViolation):
-        rs.insert(3, b"def", False)
-    assert rs.cursor == 3 and bytes(rs.data) == b"abc"
+        rs.insert(3, 3, False)
+    assert rs.cursor == 3 and rs.ranges.bounds == [0, 2]
 
 
 def test_recv_stream_delivers_segment_overlapped_from_below():
     rs = RecvStream()
-    rs.insert(5, b"56789", False)
-    rs.insert(0, b"0123456", False)
-    assert rs.cursor == 10 and bytes(rs.data) == b"0123456789"
-    rs.insert(10, b"", True)
-    assert rs.complete and not rs._segments
-    # an empty frame ahead of the cursor advances nothing: not buffered
+    rs.insert(5, 5, False)
+    rs.insert(0, 7, False)
+    assert rs.cursor == 10
+    rs.insert(10, 0, True)
+    assert rs.complete and rs.ranges.bounds == [0, 9]
+    # an empty frame ahead of the cursor records nothing
     ahead = RecvStream()
-    ahead.insert(3, b"", False)
-    assert not ahead._segments
+    ahead.insert(3, 0, False)
+    assert ahead.ranges.bounds == []
 
 
 @st.composite
-def overlapping_slices(draw):
-    """A byte string and slices of it in any order: a partition that covers
-    it, plus overlapping and duplicated extras, some of them empty."""
-    data = draw(st.binary(min_size=1, max_size=64))
-    n = len(data)
-    points = sorted({0, n, *draw(st.lists(st.integers(0, n), max_size=8))})
-    cover = list(zip(points, points[1:]))
-    extra = draw(
-        st.lists(st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted), max_size=8)
+def stream_frames(draw):
+    """The ``(offset, length, fin)`` frames of a stream of ``size`` bytes,
+    in any order: a split that covers it, the last piece with the FIN, plus
+    duplicated, overlapping, empty and stray extras, a few with a FIN at
+    any end."""
+    size = draw(st.integers(0, 48))
+    points = sorted({0, size, *draw(st.lists(st.integers(0, size), max_size=8))})
+    cover = [(lo, hi - lo, hi == size) for lo, hi in zip(points, points[1:])] or [(0, 0, True)]
+    extra = st.tuples(
+        st.integers(0, size + 8), st.integers(0, 12), st.sampled_from([False] * 3 + [True])
     )
-    return data, draw(st.permutations(cover + [tuple(e) for e in extra]))
+    return size, draw(st.permutations(cover + draw(st.lists(extra, max_size=8))))
 
 
 @settings(deadline=None)
-@given(overlapping_slices())
-def test_recv_stream_delivers_any_order_of_overlapping_slices(case):
-    data, slices = case
+@given(stream_frames())
+# a final size of 3 after byte 3 arrived: refused
+@example((4, [(0, 4, False), (3, 0, True), (0, 4, True)]))
+def test_recv_stream_matches_a_set_of_offsets_model(case):
+    """The stream against a set of received offsets and the final-size
+    rules of RFC 9000 section 4.5: a known final size never changes, no
+    data lies past it, and it lies at or above every offset received.  A
+    frame that breaks a rule raises ``ProtocolViolation`` and changes
+    nothing.  The cursor is the first offset not received, and a stream
+    whose every frame was taken is complete."""
+    size, frames = case
     rs = RecvStream()
-    for start, end in slices:
-        rs.insert(start, data[start:end], end == len(data))  # FIN on the last byte
-    assert rs.complete and bytes(rs.data) == data
-    assert not rs._segments
+    received: set[int] = set()
+    final = None
+    refused = False
+    for offset, n, fin in frames:
+        end = offset + n
+        breaks = final is not None and (end > final or fin and end != final)
+        breaks = breaks or fin and final is None and any(v >= end for v in received)
+        if breaks:
+            refused = True
+            before = list(rs.ranges.bounds)
+            with pytest.raises(ProtocolViolation):
+                rs.insert(offset, n, fin)
+            assert rs.ranges.bounds == before
+        else:
+            rs.insert(offset, n, fin)
+            received.update(range(offset, end))
+            final = end if fin else final
+        assert rs.ranges.bounds == list(_flat(_model_ranges(received)))
+        assert rs.final_size == final
+        assert rs.cursor == min(set(range(len(received) + 1)) - received)
+        assert rs.complete == (final is not None and received >= set(range(final)))
+    if not refused:
+        assert rs.complete and rs.cursor == size == final
 
 
 def test_fec_config_labels():
@@ -1181,7 +1225,7 @@ def test_recovery_sends_its_recovered_frame_at_once():
     srv = Connection("server", cfg)
     srv.on_datagram(encode_packet(Packet(1, [HandshakeFrame(0)])), 0)
     srv.flush(0)
-    srv.on_datagram(encode_packet(Packet(2, [StreamFrame(0, 0, True, b"GET 3000")])), 0)
+    srv.on_datagram(encode_packet(Packet(2, [StreamFrame(0, 0, True, b"GET 2000")])), 0)
     lost, second, repair = srv.flush(0)[1:4]
     assert [p.kind for p in (lost, second, repair)] == ["stream", "stream", "repair"]
     cli = fec_client(cfg)
@@ -1238,7 +1282,46 @@ def test_server_refuses_request_data_past_one_packet(fec):
     for pn, offset in enumerate([budget, 10 * budget], start=3):
         with pytest.raises(ProtocolViolation):
             deliver(srv, Packet(pn, [StreamFrame(0, offset, False, b"E" * 1000)]), 0)
-    assert len(srv._recv_stream.data) == budget
+    # the refused frames wrote nothing and recorded no range
+    assert srv._request == b"G" * budget
+    assert srv._recv_stream.ranges.bounds == [0, budget - 1]
+
+
+@pytest.mark.parametrize("offset", [0, 500], ids=["at_cursor", "ahead_of_cursor"])
+def test_client_rejects_corrupted_data_on_arrival(offset):
+    """The client checks each frame against the response pattern as it
+    arrives, also a frame that lands ahead of the cursor."""
+    cli = acked_client(1000)
+    data = bytearray(pattern_bytes(offset, 100))
+    data[50] ^= 0xFF
+    with pytest.raises(ProtocolViolation):
+        deliver(cli, Packet(3, [StreamFrame(0, offset, False, bytes(data))]), 5000)
+    assert cli.received_bytes == 0 and cli._recv_stream.ranges.bounds == []
+
+
+def test_client_refuses_response_data_past_its_request_size():
+    """Data ending past the requested size is refused before its range is
+    recorded, so the client's ranges stay within ``request_size``."""
+    cli = acked_client(1000)
+    deliver(cli, Packet(3, [StreamFrame(0, 900, False, pattern_bytes(900, 100))]), 5000)
+    with pytest.raises(ProtocolViolation):
+        deliver(cli, Packet(4, [StreamFrame(0, 2000, False, pattern_bytes(2000, 1))]), 5000)
+    assert cli._recv_stream.ranges.bounds == [900, 999]
+
+
+def test_server_assembles_a_request_split_and_overlapped_over_frames():
+    """``GET 5000`` in three overlapping frames, in every order: the
+    server parses the request once the last gap fills, and only then."""
+    pieces = [(0, b"GE"), (1, b"ET 5"), (3, b" 5000")]
+    for order in permutations(pieces):
+        srv = Connection("server", ConnectionConfig())
+        deliver(srv, Packet(1, [HandshakeFrame(0)]), 0)
+        for pn, (offset, data) in enumerate(order, start=2):
+            assert srv._send_stream is None
+            fin = offset + len(data) == 8
+            deliver(srv, Packet(pn, [StreamFrame(0, offset, fin, data)]), 0)
+        assert srv._send_stream.total == 5000
+        assert any(p.kind == "stream" for p in srv.flush(0))
 
 
 # Well-formed payloads are one symbol wide, so each case fails for its name.
@@ -1330,3 +1413,151 @@ def test_repair_reannouncing_its_block_shape_raises_malformed_frame():
         deliver(cli, Packet(11, [forged]), 2200)
     assert cli.stats.recovered_packets == 0
     assert cli.received_bytes == 100
+
+
+# ---------------------------------------------------------------------------
+# Random peer input
+
+
+def _range_list(kind, top):
+    return st.sets(st.integers(0, top), min_size=1, max_size=6).map(
+        lambda values: kind.of(_flat(_model_ranges(values)))
+    )
+
+
+REQUEST_SIZE = 3000
+
+
+def _response_frame(offset, n):
+    n = min(n, REQUEST_SIZE - offset)
+    return StreamFrame(0, offset, offset + n == REQUEST_SIZE, pattern_bytes(offset, n))
+
+
+# what a peer may send: response or request bytes, the handshake, and ACK
+# and Recovered frames of the first packet the other end sends
+HONEST_FRAMES = {
+    "client": st.builds(_response_frame, st.integers(0, REQUEST_SIZE), st.integers(0, 200)),
+    "server": st.builds(
+        lambda n, cut, fin: StreamFrame(0, cut, fin, (b"GET %d" % n)[cut:]),
+        st.integers(0, 10**6),
+        st.integers(0, 4),
+        st.booleans(),
+    ),
+}
+HOSTILE_FRAME = st.one_of(
+    st.builds(
+        StreamFrame,
+        st.integers(0, 3),
+        st.integers(0, 4000),
+        st.booleans(),
+        st.binary(max_size=40),
+    ),
+    st.builds(HandshakeFrame, st.integers(0, 255)),
+    _range_list(AckFrame, 60),
+    _range_list(RecoveredFrame, 60),
+    st.builds(
+        FecFrame,
+        st.booleans(),
+        st.integers(0, 2),
+        st.one_of(
+            st.builds(
+                block_repair_id, st.integers(0, 2), st.integers(0, 3), st.integers(0, 3)
+            ),
+            st.builds(conv_repair_id, st.integers(0, 8), st.integers(0, 3)),
+            st.integers(0, 2**64 - 1),
+        ),
+        st.integers(0, 40),
+        st.integers(0, 40),
+        st.one_of(
+            st.binary(max_size=40),
+            st.sampled_from([bytes(FEC_SYMBOL_SIZE), b"\xff" * FEC_SYMBOL_SIZE]),
+        ),
+    ),
+)
+# one packet in ten is cut short or has one byte flipped: (how, where, xor)
+MUTATION = st.tuples(
+    st.sampled_from([None] * 18 + ["cut", "flip"]), st.integers(0, 2000), st.integers(1, 255)
+)
+
+
+def peer_packets(role):
+    """Packets to ``role``: numbers that repeat and reorder, one or two
+    frames each, mostly honest ones, in a protected packet or not."""
+    honest = weighted(
+        (HONEST_FRAMES[role], 6),
+        (st.builds(HandshakeFrame, st.integers(0, 1)), 1),
+        (_range_list(AckFrame, 1), 2),
+        (_range_list(RecoveredFrame, 1), 1),
+    )
+    frame = weighted((honest, 9), (HOSTILE_FRAME, 1))
+    source_id = st.one_of(st.none(), st.integers(0, 40), st.integers(0, 2**32 - 1))
+    return st.tuples(
+        st.integers(0, 60), st.lists(frame, min_size=1, max_size=2), source_id, MUTATION
+    )
+
+
+def counted_connection(role, code):
+    """A fresh connection that counts the stream frames it takes in
+    ``conn.taken``, recovered ones included."""
+    conn = Connection(role, ConnectionConfig(fec=VARIANTS[code]), request_size=REQUEST_SIZE)
+    conn.taken = 0
+    take = conn._on_stream_frame
+
+    def counted(frame, now):
+        conn.taken += 1
+        take(frame, now)
+
+    conn._on_stream_frame = counted
+    conn.start(0)
+    if role == "server":  # it has sent packet 1, the handshake reply
+        conn.on_datagram(encode_packet(Packet(0, [HandshakeFrame(0)])), 0)
+    conn.flush(0)
+    return conn
+
+
+def check_stream_bounds(conn):
+    """At most one range per stream frame taken, none past the requested
+    size or, on the server, past one packet."""
+    bounds = conn._recv_stream.ranges.bounds
+    assert len(bounds) <= 2 * conn.taken
+    limit = REQUEST_SIZE if conn.role == "client" else conn._stream_budget
+    assert not bounds or bounds[-1] < limit
+
+
+# No shrinking: a failure reports the example as drawn, since shrinking
+# forty packets of weighted frames takes minutes.
+@settings(phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.sampled_from(sorted(VARIANTS)), st.sampled_from(["client", "server"]), st.data())
+def test_random_peer_input_raises_only_typed_errors(code, role, data):
+    """Random frames of every type, in packets that may be cut short or
+    have a byte flipped, sent to either end under each code: only
+    ``ProtocolViolation`` or a ``FecFrameworkError`` escapes, and the
+    receive stream stays within :func:`check_stream_bounds`.  A connection
+    that raised is done; the rest of the packets go to a fresh one."""
+    packets = data.draw(st.lists(peer_packets(role), min_size=10, max_size=40))
+    conn = None
+    for pn, frames, source_id, mutation in packets:
+        if conn is None:
+            conn, now = counted_connection(role, code), 0
+        now += 20_000
+        wire = encode_packet(Packet(pn, frames, source_id is not None, source_id))
+        how, where, xor = mutation
+        if how == "cut":
+            wire = wire[: where % len(wire)]
+        elif how == "flip":
+            i = where % len(wire)
+            wire = wire[:i] + bytes([wire[i] ^ xor]) + wire[i + 1 :]
+        try:
+            for _ in range(10):  # the timers due before this packet
+                due = conn.next_timer_us()
+                if due is None or due > now:
+                    break
+                conn.on_timer(due)
+                conn.flush(due)
+            conn.on_datagram(wire, now)
+            conn.flush(now)
+        except (ProtocolViolation, FecFrameworkError):
+            check_stream_bounds(conn)
+            conn = None
+    if conn is not None:
+        check_stream_bounds(conn)
