@@ -17,7 +17,7 @@ import statistics
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .netem import (
     DEFAULT_MAX_EVENTS,
@@ -335,13 +335,15 @@ def run_transfer(
     loss_model=None,
     collect_trace: bool = False,
     max_events: int = DEFAULT_MAX_EVENTS,
+    watch: Optional[Callable] = None,
 ) -> TransferResult:
     """One client/server download over the scenario's path.
 
     The emulation runs to full idle, so trailing repair symbols and
     acknowledgements count towards the wire-byte total; the completion
     time is stamped when the client has the entire response, measured
-    from the start of its connection attempt.
+    from the start of its connection attempt.  ``watch``, if given, is
+    called as ``watch(sim, network, (client, server))`` before the first event.
     """
     sim = Simulator(max_events=max_events)
     trace = TraceLog(sim) if collect_trace else None
@@ -358,6 +360,8 @@ def run_transfer(
     client, server, client_host = _attach_transfer(
         sim, network, config, size_bytes, trace=trace
     )
+    if watch is not None:
+        watch(sim, network, (client, server))
     client_host.start()
     try:
         sim.run()
@@ -703,7 +707,9 @@ class FairnessRun:
     bg_received_bytes: int
 
 
-def fairness_run(background: str, seed: int) -> FairnessRun:
+def fairness_run(
+    background: str, seed: int, *, watch: Optional[Callable] = None
+) -> FairnessRun:
     """One shared-bottleneck contention run.
 
     A background 16 MB download starts at t=0 and saturates the path; a
@@ -715,7 +721,8 @@ def fairness_run(background: str, seed: int) -> FairnessRun:
 
     ``background`` selects the competing flow's behaviour: "baseline"
     (no FEC) or FEC with the "recovered_frame" / "silent_ack" recovery
-    signalling strategies.
+    signalling strategies.  ``watch`` is called as ``watch(sim, network,
+    (fg_client, fg_server, bg_client, bg_server))`` before the first event.
     """
     if background == "baseline":
         bg_config = ConnectionConfig(fec=None)
@@ -730,12 +737,14 @@ def fairness_run(background: str, seed: int) -> FairnessRun:
     network = Network(
         sim, mss.bandwidth_bps, mss.one_way_delay_us, FAIRNESS_QUEUE_PACKETS
     )
-    fg_client, _, fg_host = _attach_transfer(
+    fg_client, fg_server, fg_host = _attach_transfer(
         sim, network, ConnectionConfig(fec=None), FAIRNESS_FG_SIZE, "fg_"
     )
-    bg_client, _, bg_host = _attach_transfer(
+    bg_client, bg_server, bg_host = _attach_transfer(
         sim, network, bg_config, FAIRNESS_BG_SIZE, "bg_"
     )
+    if watch is not None:
+        watch(sim, network, (fg_client, fg_server, bg_client, bg_server))
 
     bg_host.start()
     fg_start = FAIRNESS_FG_DELAY_US + derive_seed(seed, 17) % (FAIRNESS_JITTER_US + 1)

@@ -91,3 +91,23 @@ def test_recorder_summarizes_a_transfer_as_the_matrix_reads_it(tmp_path):
     assert transfer.completed and transfer.received == transfer.size == 10_000
     assert transfer.wire_bytes > transfer.size
     assert counts["events"] > 0 and counts["wire_packets"] > 0
+
+
+def test_recorder_and_watch_see_the_same_objects():
+    """Under ``workloads.Recorder``, which swaps ``experiments``' globals,
+    a download's ``watch`` is handed the very simulator, network and
+    connections the recorder saw created."""
+    fx = layer_modules()
+    watched = []
+
+    def watch(sim, network, connections):
+        watched.extend((sim, network, *connections))
+
+    with workloads.Recorder(fx, "run_transfer", lambda args, result, made: made) as rec:
+        rlc_transfer(fx, watch=watch)
+    (objects,) = rec.summaries
+    assert [type(o).__name__ for o in objects] == [
+        "Simulator", "Network", "Connection", "Connection"
+    ]
+    assert len(watched) == len(objects)
+    assert all(w is o for w, o in zip(watched, objects))

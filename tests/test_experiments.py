@@ -13,6 +13,7 @@ from fecsim import experiments as xp
 from fecsim.cli import main as cli_main
 from fecsim.netem import ScriptedLoss
 from fecsim.transport import FecConfig
+from transfer_monitor import TransferMonitor
 
 FAST = xp.Scenario("fast", 10_000_000, 5_000, xp.LossSpec("none"))
 FAST_LOSSY = xp.Scenario("fastloss", 10_000_000, 5_000, xp.LossSpec("uniform", p=0.03))
@@ -174,17 +175,13 @@ def test_run_matrix_is_deterministic():
     assert [r.rep_dcts_us for r in a] != [r.rep_dcts_us for r in c]
 
 
-def test_run_matrix_records_failed_cells_instead_of_raising(monkeypatch):
+def test_run_matrix_records_failed_cells_instead_of_raising():
     # the budget is half the events the cell's first repetition runs uncapped
-    real, sims = xp.Simulator, []
-
-    def counted(**kwargs):
-        sims.append(real(**kwargs))
-        return sims[-1]
-
-    monkeypatch.setattr(xp, "Simulator", counted)
+    sims = []
     first_rep = xp.derive_seed(xp.derive_seed(0, 0, 0), 0)
-    assert xp.run_transfer(FAST_LOSSY, None, 10_000, first_rep).completed
+    assert xp.run_transfer(
+        FAST_LOSSY, None, 10_000, first_rep, watch=lambda sim, *_: sims.append(sim)
+    ).completed
     records = xp.run_matrix(
         [FAST_LOSSY], {"baseline": None}, {"10k": 10_000}, reps=2,
         base_seed=0, max_events=sims[0].events_run // 2,
@@ -364,6 +361,26 @@ def test_fairness_run_smoke(monkeypatch):
     assert run == again
     fec_run = xp.fairness_run("recovered_frame", seed=1)
     assert fec_run.fg_dct_us > 0
+
+
+@pytest.mark.parametrize("background", xp.FAIRNESS_BACKGROUNDS)
+def test_monitored_contention_run_equals_an_unwatched_one(monkeypatch, background):
+    """The transfer monitor holds its invariants over all four connections
+    of a contention run whose queue drops packets, and watching it changes
+    nothing."""
+    shrink_fairness(monkeypatch)
+    monkeypatch.setattr(xp, "FAIRNESS_QUEUE_PACKETS", 8)
+    monitor, networks = TransferMonitor(), []
+
+    def watch(sim, network, connections):
+        networks.append(network)
+        monitor(sim, network, connections)
+
+    run = xp.fairness_run(background, seed=1, watch=watch)
+    assert run == xp.fairness_run(background, seed=1)
+    assert networks[0].queue_drops > 0
+    assert sum(conn.stats.lost_packets for conn in monitor.packets) > 0
+    assert len(monitor.packets) == 4 and all(monitor.packets.values())
 
 
 def test_fairness_run_rejects_bad_inputs():

@@ -24,10 +24,9 @@ from fecsim.transport import (
     FEC_SYMBOL_SIZE,
     RECOVERED_STRATEGIES,
     STREAM_BUDGET,
-    ConnectionConfig,
     FecConfig,
 )
-from transfer_monitor import monitored_transfer
+from transfer_monitor import TransferMonitor
 
 CLEAN = Scenario("clean", 1_890_000, 380_500, LossSpec("none"))
 UNIFORM = Scenario("uni", 468_000, 131_000, LossSpec("uniform", p=0.033))
@@ -304,11 +303,25 @@ def test_sender_invariants_hold_over_drawn_transfers(
     bandwidth_bps, one_way_delay_us, queue_packets, loss, variant, strategy, size_bytes
 ):
     """Every loss declaration retires the oldest packet in flight, lost
-    frames queue in ascending packet-number order, and no packet carries
-    two resendable frames, on any path, loss and variant."""
-    config = ConnectionConfig(fec=VARIANTS[variant], recovered_strategy=strategy)
-    client = monitored_transfer(
-        bandwidth_bps, one_way_delay_us, queue_packets, loss, config, size_bytes,
-        max_events=200_000,
+    frames queue in ascending packet-number order, no packet carries two
+    resendable frames, and stream, repair and handshake packets leave only
+    when the window has room for one more, on any path, loss and variant."""
+    path = Scenario("drawn", bandwidth_bps, one_way_delay_us, LossSpec("none"), queue_packets)
+    result = run_transfer(
+        path, VARIANTS[variant], size_bytes, seed=0, strategy=strategy,
+        loss_model=loss, max_events=200_000, watch=TransferMonitor(),
     )
-    assert client.complete_at_us is not None
+    assert result.completed
+
+
+@pytest.mark.parametrize("variant", ["baseline", "rlc"])
+def test_a_watched_transfer_returns_what_an_unwatched_one_does(variant):
+    """The monitor chains the trace log's tracer and wraps ``flush``, and
+    changes nothing: the watched result, trace text included, equals the
+    unwatched one, losses and all."""
+    monitor = TransferMonitor()
+    fec = VARIANTS[variant]
+    watched = run_transfer(UNIFORM, fec, 50_000, seed=7, collect_trace=True, watch=monitor)
+    assert watched == run_transfer(UNIFORM, fec, 50_000, seed=7, collect_trace=True)
+    assert ".lost " in watched.trace_text
+    assert len(monitor.packets) == 2 and all(monitor.packets.values())

@@ -118,10 +118,11 @@ def weighted(*choices):
     return st.sampled_from([s for s, w in choices for _ in range(w)]).flatmap(lambda s: s)
 
 
-ADD = st.tuples(st.just("add"), st.integers(0, 160))
+SPAN = 1_000  # wide enough for 300 ops to leave more than 64 ranges
+ADD = st.tuples(st.just("add"), st.integers(0, SPAN))
 RANGE = st.tuples(
     st.just("range"),
-    st.tuples(st.integers(0, 160), st.integers(0, 12)).map(lambda t: (t[0], sum(t))),
+    st.tuples(st.integers(0, SPAN), st.integers(0, 12)).map(lambda t: (t[0], sum(t))),
 )
 
 
@@ -129,15 +130,15 @@ RANGE = st.tuples(
 @given(
     st.lists(
         weighted(
-            (ADD, 6),  # mostly adds, to reach > 32 ranges
+            (ADD, 10),  # mostly adds, to reach > 64 ranges
             (RANGE, 1),
-            (st.tuples(st.just("prune"), st.integers(1, 80)), 1),
+            (st.tuples(st.just("prune"), st.integers(1, 200)), 1),
             (st.tuples(st.just("ack"), st.just(0)), 1),
         ),
         min_size=50,
         max_size=300,
     ),
-    st.lists(st.integers(0, 170), unique=True).map(sorted),
+    st.lists(st.integers(0, SPAN + 10), unique=True).map(sorted),
 )
 # 80 single-packet ranges: the ACK prunes to 64 and carries the newest 32
 @example([("add", v) for v in range(0, 160, 2)] + [("ack", 0)], [1, 40, 158])

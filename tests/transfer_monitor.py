@@ -1,22 +1,26 @@
 """An invariant monitor for whole transfers.
 
-:func:`monitored_transfer` runs one client/server download on the
-emulator, as ``experiments.run_transfer`` does, with a
-:class:`TransferMonitor` watching both connections through their trace
-callbacks and their ``flush``.  The monitor asserts, as the transfer runs,
-the sender invariants that the flight and the retransmission queue rest
-on.  Further whole-transfer invariants belong in the same class.
+A :class:`TransferMonitor` is the ``watch`` callable of
+``experiments.run_transfer`` or ``experiments.fairness_run``: either calls
+it as ``monitor(sim, network, connections)`` once the connections are
+wired, before the first event.  It then watches every connection through
+its trace callback, chained after any tracer already attached, and its
+``flush``, and asserts, as the transfer runs, the sender invariants that
+the flight, the retransmission queue and the congestion window rest on.
+Further whole-transfer invariants belong in the same class.
 """
 
 from __future__ import annotations
 
 import math
 
-from fecsim.frames import HandshakeFrame, StreamFrame, parse_packet
-from fecsim.netem import Host, Network, Simulator
-from fecsim.transport import Connection, ConnectionConfig
+from fecsim.frames import MAX_PACKET_SIZE, HandshakeFrame, StreamFrame, parse_packet
+from fecsim.transport import Connection
 
 RESENDABLE = (StreamFrame, HandshakeFrame)
+# the packet kinds that leave only when the congestion window has room for
+# one more full packet; probes and feedback are exempt
+WINDOWED = ("stream", "hs", "repair")
 
 
 class TransferMonitor:
@@ -26,32 +30,45 @@ class TransferMonitor:
     - every loss declaration retires the oldest packet in flight;
     - the keys of the retransmission queue ascend;
     - a packet carries at most one resendable frame, and its flight
-      record holds exactly that frame.
+      record holds exactly that frame;
+    - a stream, handshake or repair packet leaves only when
+      ``bytes_in_flight + MAX_PACKET_SIZE <= cwnd`` before it.
+
+    ``packets`` counts the packets checked, keyed by connection.
     """
 
     def __init__(self):
-        self.connections: dict[str, Connection] = {}
+        self.packets: dict[Connection, int] = {}
 
-    def connection_tracer(self, role: str):
-        """The ``trace`` callback for the connection of ``role``, which
-        :meth:`watch` must register before it runs."""
-
-        def trace(event: str, pn, detail: str) -> None:
-            self.on_event(self.connections[role], event, pn)
-
-        return trace
+    def __call__(self, sim, network, connections) -> None:
+        for conn in connections:
+            self.watch(conn)
 
     def watch(self, conn: Connection) -> None:
-        self.connections[conn.role] = conn
+        self.packets[conn] = 0
+        traced = conn._trace_fn
         flush = conn.flush
+
+        def trace(event: str, pn, detail: str) -> None:
+            if traced is not None:
+                traced(event, pn, detail)
+            self.on_event(conn, event, pn)
 
         def watched_flush(now: int):
             self.check_queue(conn)
+            in_flight, cwnd = conn.bytes_in_flight, conn.cwnd
             out = flush(now)
             for pkt in out:
+                if pkt.kind in WINDOWED:
+                    assert in_flight + MAX_PACKET_SIZE <= cwnd, (
+                        conn.role, pkt.kind, in_flight, cwnd
+                    )
+                rec = conn._sent.get(pkt.packet_number)
+                in_flight += rec.size if rec is not None else 0
                 self.on_packet(conn, pkt)
             return out
 
+        conn._trace_fn = trace
         conn.flush = watched_flush
 
     def check_queue(self, conn: Connection) -> None:
@@ -66,35 +83,9 @@ class TransferMonitor:
             assert pn < oldest_left, f"{conn.role} lost {pn} before {oldest_left}"
 
     def on_packet(self, conn: Connection, pkt) -> None:
+        self.packets[conn] += 1
         resendable = [f for f in parse_packet(pkt.data).frames if type(f) in RESENDABLE]
         assert len(resendable) <= 1, f"{conn.role} packet {pkt.packet_number}: {resendable}"
         rec = conn._sent.get(pkt.packet_number)
         if rec is not None:
             assert rec.frame == (resendable[0] if resendable else None)
-
-
-def monitored_transfer(
-    bandwidth_bps: int,
-    one_way_delay_us: int,
-    queue_packets: int,
-    loss,
-    config: ConnectionConfig,
-    size_bytes: int,
-    max_events: int,
-) -> Connection:
-    """Run one download of ``size_bytes`` to idle under a
-    :class:`TransferMonitor`; returns the client."""
-    sim = Simulator(max_events=max_events)
-    network = Network(sim, bandwidth_bps, one_way_delay_us, queue_packets, loss=loss)
-    monitor = TransferMonitor()
-    client = Connection(
-        "client", config, request_size=size_bytes, trace=monitor.connection_tracer("client")
-    )
-    server = Connection("server", config, trace=monitor.connection_tracer("server"))
-    for conn in (client, server):
-        monitor.watch(conn)
-    client_host = Host(sim, client, "client")
-    network.attach_pair(client_host, Host(sim, server, "server"))
-    client_host.start()
-    sim.run()
-    return client
