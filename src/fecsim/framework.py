@@ -369,6 +369,10 @@ class ReceiverFec:
     ``symbol_size`` bytes raise :class:`MalformedFrame`.
     """
 
+    # Repairs can trail newer blocks' sources by dozens of blocks: in
+    # lhs_scenarios(7, 4)[1] (xor, 50 kB, silent_ack) 11 tail-loss probes put
+    # a source of block 42 ahead of the repairs of blocks 23 and 24, whose two
+    # recoveries a backlog of 16 would drop.
     BLOCK_BACKLOG = 64
 
     def __init__(self, scheme: int, symbol_size: int, window: int = 1):

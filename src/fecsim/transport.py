@@ -72,7 +72,6 @@ ranges; an ACK or Recovered frame that names an unsent packet raises
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import takewhile
 from typing import Callable, Optional
@@ -399,7 +398,7 @@ class Connection:
         self._next_pn = 1
         self._sent: dict[int, SentRecord] = {}
         self._bytes_in_flight = 0
-        self._hs_outbox: deque[int] = deque()
+        self._hs_due: Optional[int] = None  # the handshake round to send
         self._retransmit: dict[int, object] = {}  # lost pn -> frame, ascending
         self._probe: object = None  # the frame of a probe due at the next flush
         self._send_stream: Optional[SendStream] = None
@@ -451,7 +450,7 @@ class Connection:
     def start(self, now: int) -> None:
         """Client: begin the handshake.  Server: wait."""
         if self.role == "client":
-            self._hs_outbox.append(0)
+            self._hs_due = 0
             self._trace("connect", None, "")
 
     # -- inbound --------------------------------------------------------------
@@ -546,19 +545,18 @@ class Connection:
         self._trace("request_received", None, f"size={size}")
 
     def _on_handshake_frame(self, frame: HandshakeFrame, now: int) -> None:
-        if self.role == "server" and frame.round == 0:
-            if not self._handshake_done:
-                self._handshake_done = True
-                self._hs_outbox.append(1)
-                self._trace("hs_complete", None, "")
-        elif self.role == "client" and frame.round == 1:
-            if not self._handshake_done:
-                self._handshake_done = True
-                self._trace("hs_complete", None, "")
-                request = b"GET %d" % self.request_size
-                self._send_stream = SendStream(
-                    len(request), lambda offset, n: request[offset : offset + n]
-                )
+        server = self.role == "server"
+        if self._handshake_done or frame.round != (0 if server else 1):
+            return
+        self._handshake_done = True
+        self._trace("hs_complete", None, "")
+        if server:
+            self._hs_due = 1
+        else:
+            request = b"GET %d" % self.request_size
+            self._send_stream = SendStream(
+                len(request), lambda offset, n: request[offset : offset + n]
+            )
 
     # -- acknowledgements and loss ---------------------------------------------
 
@@ -695,8 +693,8 @@ class Connection:
             frame, self._probe = self._probe, None
             return self._build(now, [frame], "probe", frame, retransmission=True)
         cwnd_ok = self._bytes_in_flight + MAX_PACKET_SIZE <= self._cc.cwnd
-        if self._hs_outbox and cwnd_ok:
-            frame = HandshakeFrame(self._hs_outbox.popleft())
+        if self._hs_due is not None and cwnd_ok:
+            frame, self._hs_due = HandshakeFrame(self._hs_due), None
             return self._build(now, [frame], "hs", frame)
         if self._ack_due is not None and self._ack_due <= now:
             self._ack_due = None

@@ -9,12 +9,15 @@ fails loudly on any regression.  The numbered criteria:
  3. tail-loss rescue margin on the da2gc path
  4. code-rate 2/3 wire/time overhead on a loss-free 1 MB transfer
  5. block vs sliding-window recovery latency, verified on event traces
- 6. foreground fairness ordering of the background behaviours
+ 6. foreground fairness ordering of the background behaviours, and the
+    pinned bytes of the first seed's fairness CSV
  7. bursty-loss model statistics against the analytic stationary rate
  8. small-file benefit / large-file penalty trend on the mss path
- 9. byte-identical CSV when the default matrix is re-run with one seed
+ 9. byte-identical CSV, with pinned bytes, when the default matrix is
+    re-run with one seed
 """
 
+import hashlib
 import itertools
 import random
 import re
@@ -27,6 +30,7 @@ from fecsim import experiments as xp
 from fecsim.cli import main as cli_main
 from fecsim.experiments import LossSpec, Scenario, preset, run_transfer
 from fecsim.netem import GilbertElliottLoss, PredicateLoss, serialization_us
+from fecsim.rng import derive_seed
 from fecsim.schemes import (
     BlockCodeParams,
     ConvolutionalParams,
@@ -38,6 +42,16 @@ from fecsim.schemes import (
     rs_encode,
 )
 from fecsim.transport import FecConfig
+
+
+# sha256 of `fecsim run --seed 0` and `fecsim fairness --seed 0 --count 1`,
+# recorded when their bytes last changed on purpose
+RUN_CSV_SHA256 = "71c6cf71395e78124d0f4be626670f275e267e99f93f7b62bfcdea28470c4381"
+FAIRNESS_CSV_SHA256 = "e169c8275f762217deddf7381b1940d577152c33493925f8cd891171ba30c7de"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
@@ -310,9 +324,9 @@ def test_criterion_05_recovery_latency_on_traces():
 # 6. Fairness ordering
 
 
-def test_criterion_06_fairness_ordering():
+def test_criterion_06_fairness_ordering(tmp_path):
     t0 = time.perf_counter()
-    _, medians = xp.fairness_experiment(base_seed=0, count=9)
+    runs, medians = xp.fairness_experiment(base_seed=0, count=9)
     elapsed = time.perf_counter() - t0
     base = medians["baseline"]
     silent = medians["silent_ack"]
@@ -324,6 +338,12 @@ def test_criterion_06_fairness_ordering():
         f"{rf/1e6:.2f}s within 10% of baseline ({elapsed:.0f}s, budget 300s)",
         silent > base and abs(rf - base) <= 0.10 * base and elapsed < 300.0,
     )
+    # The first seed's three runs are `fecsim fairness --seed 0 --count 1`:
+    # one run per background, which is also its median.
+    first = [r for r in runs if r.seed == derive_seed(0, 0)]
+    path = tmp_path / "fairness.csv"
+    xp.write_fairness_csv(first, {r.background: r.fg_dct_us for r in first}, str(path))
+    assert _sha256(path) == FAIRNESS_CSV_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +426,6 @@ def test_criterion_09_default_matrix_determinism(tmp_path):
     _report(
         9,
         f"default matrix re-run with the same seed: {len(a)} CSV bytes, "
-        f"byte-identical",
-        len(a) > 0 and a == b,
+        f"byte-identical and equal to the recorded sha256",
+        len(a) > 0 and a == b and _sha256(first) == RUN_CSV_SHA256,
     )

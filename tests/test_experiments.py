@@ -366,21 +366,25 @@ def test_fairness_run_smoke(monkeypatch):
 @pytest.mark.parametrize("background", xp.FAIRNESS_BACKGROUNDS)
 def test_monitored_contention_run_equals_an_unwatched_one(monkeypatch, background):
     """The transfer monitor holds its invariants over all four connections
-    of a contention run whose queue drops packets, and watching it changes
-    nothing."""
+    of a contention run whose queue drops packets, a repair-sending
+    background's client rebuilds some of its dropped packets, and watching
+    the run changes nothing."""
     shrink_fairness(monkeypatch)
     monkeypatch.setattr(xp, "FAIRNESS_QUEUE_PACKETS", 8)
-    monitor, networks = TransferMonitor(), []
+    monitor, wired = TransferMonitor(), []
 
     def watch(sim, network, connections):
-        networks.append(network)
+        wired.append((network, connections))
         monitor(sim, network, connections)
 
     run = xp.fairness_run(background, seed=1, watch=watch)
     assert run == xp.fairness_run(background, seed=1)
-    assert networks[0].queue_drops > 0
+    [(network, (_, _, bg_client, _))] = wired
+    assert network.queue_drops > 0
     assert sum(conn.stats.lost_packets for conn in monitor.packets) > 0
     assert len(monitor.packets) == 4 and all(monitor.packets.values())
+    if background != "baseline":
+        assert bg_client.stats.recovered_packets > 0
 
 
 def test_fairness_run_rejects_bad_inputs():
