@@ -15,6 +15,10 @@ The JSON records:
   - ``rlc_coefficients`` and ``rlc_encode`` for a 20-symbol window, and
     ``RlcDecoder.add_repair`` of a repair over that window that rebuilds
     its one missing source;
+  - ``ReceiverFec.on_fec_frame`` over a block's whole repair frames,
+    after its surviving sources: a (30,20) block with 10 sources erased,
+    which the tenth repair rebuilds, and a harness xor block of 4 with
+    one source erased;
   - ``SenderFec.next_source_id`` plus ``commit_source`` per source, for
     each of the harness codes xor, rs and rlc, at ``FEC_SYMBOL_SIZE``,
     the repairs each group emits included (samples of 400 sources,
@@ -78,6 +82,7 @@ import tempfile
 import time
 import timeit
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -128,6 +133,11 @@ FRESH_REPEATS = 1000
 SYMBOL = schemes.symbol_size_for(MAX_PACKET_SIZE)
 RS = schemes.BlockCodeParams(30, 20)
 RS_ERASED = 10
+# (harness code, sources erased from its one block, micro entry name)
+RECEIVER_BLOCKS = (
+    ("rs", RS_ERASED, "rs_30_20_10_erased"),
+    ("xor", 1, "xor_one_erased"),
+)
 WINDOW = 20
 RLC_SEED = 0xBEEF
 RECEIVER_SPAN = (2_000, 20_000)
@@ -306,6 +316,38 @@ def coding_micro() -> dict:
             decoder_missing_one, lambda dec: dec.add_repair(0, WINDOW, RLC_SEED, rlc_repair)
         ),
     }
+
+
+def survivors(scheme: int, sources: list[tuple[int, bytes]]) -> ReceiverFec:
+    receiver = ReceiverFec(scheme, SYMBOL)
+    for raw, packet in sources:
+        receiver.on_source_symbol(raw, packet)
+    return receiver
+
+
+def feed_repairs(frames: list[FecFrame], receiver: ReceiverFec) -> list:
+    return [pair for frame in frames for pair in receiver.on_fec_frame(frame)]
+
+
+def receiver_micro() -> dict:
+    """``ReceiverFec`` rebuilding one block from its whole repair frames,
+    fed after the block's surviving sources; only the repairs are timed."""
+    rng = np.random.default_rng(1)
+    out = {}
+    for code, erased, name in RECEIVER_BLOCKS:
+        cfg = experiments.VARIANTS[code]
+        sender = SenderFec(cfg.scheme, cfg.make_params(), SYMBOL)
+        sources = []
+        for _ in range(cfg.k):
+            packet = rng.integers(0, 256, SYMBOL - 2, dtype=np.uint8).tobytes()
+            sources.append((sender.next_source_id(), packet))
+            sender.commit_source(*sources[-1])
+        make = partial(survivors, cfg.scheme, sources[erased:])
+        run = partial(feed_repairs, list(sender.pending))
+        if run(make()) != sources[:erased]:
+            raise SystemExit(f"{code}: ReceiverFec must rebuild the erased sources")
+        out[f"framework.receiver_{name}"] = bench_fresh(make, run)
+    return out
 
 
 def sender_micro() -> dict:
@@ -495,6 +537,7 @@ def main() -> int:
         },
         "micro": {
             **coding_micro(),
+            **receiver_micro(),
             **sender_micro(),
             **ack_micro(),
             **ack_build_micro(),

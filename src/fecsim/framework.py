@@ -11,7 +11,8 @@ This module owns everything between the transport and the raw codes:
 * :func:`chunk_repair`, which splits a symbol wider than one frame's
   payload into chunks, and the receiver-side reassembly of such chunks:
   one symbol at a time, holding at most one symbol's bytes,
-* receiver-side recovery, with state bounded by the code: at most
+* receiver-side recovery through one decoder for every code, each repair
+  one equation over its sources, with state bounded by the code: at most
   ``ReceiverFec.BLOCK_BACKLOG`` blocks, or the RLC horizon plus one window.
 
 Payload id layouts.  Block codes split the 32-bit source id into a
@@ -341,32 +342,19 @@ class _PartialRepair:
     held: int = 0  # payload bytes in ``chunks``
 
 
-@dataclass
-class _BlockState:
-    sources: dict[int, np.ndarray] = field(default_factory=dict)
-    repairs: dict[int, np.ndarray] = field(default_factory=dict)
-    nss: Optional[int] = None
-    nrs: Optional[int] = None
-
-
 class ReceiverFec:
     """Buffers received source/repair symbols and drives recovery.
 
-    Returns recovered packets as ``(source id, packet bytes)`` pairs, never
-    one that arrived and each at most once, since the decoders are the one
-    record of held sources.  Block codes solve only offsets missing from
-    ``_BlockState.sources`` and write them back there; a block that
-    completes or falls ``BLOCK_BACKLOG`` blocks behind becomes None, which
-    drops its late symbols.  ``RlcDecoder.add_source`` ignores an offset it
-    holds or one below its horizon; every equation unknown is at or above
-    the horizon, known symbols are substituted out of every equation, and
-    symbols are swept only below the horizon minus one window.  So state is
-    bounded by the code: ``BLOCK_BACKLOG`` blocks, or the RLC horizon plus
-    one window.  A block's first repair pins its code shape ``(nss, nrs)``.
-    A repair symbol split over several frames is assembled in one slot,
-    since a sender sends one symbol's chunks back to back: a chunk of
-    another repair replaces the symbol in progress, and chunks of more than
-    ``symbol_size`` bytes raise :class:`MalformedFrame`.
+    One :class:`schemes.RlcDecoder` serves every code and is the one record
+    of held sources, so recovered packets come back as ``(source id, packet
+    bytes)`` pairs, never one that arrived and each at most once.  A block's
+    first repair pins its code shape ``(nss, nrs)`` in ``_blocks``; a block
+    that completes becomes None there and its symbols leave the decoder,
+    and one that falls ``BLOCK_BACKLOG`` blocks behind leaves both, which
+    drops its late symbols.  A repair symbol split over several frames is
+    assembled in one slot, since a sender sends one symbol's chunks back to
+    back: a chunk of another repair replaces the symbol in progress, and
+    chunks of more than ``symbol_size`` bytes raise :class:`MalformedFrame`.
     """
 
     # Repairs can trail newer blocks' sources by dozens of blocks: in
@@ -381,12 +369,11 @@ class ReceiverFec:
         self.scheme = scheme
         self.symbol_size = symbol_size
         self._partial: Optional[_PartialRepair] = None
-        # None marks a completed block until it falls behind the backlog
-        self._blocks: dict[int, Optional[_BlockState]] = {}
+        # pinned (nss, nrs), else (highest offset + 1, 0); None once complete
+        self._blocks: dict[int, Optional[tuple[int, int]]] = {}
         self._newest_block = -1
-        self._rlc = (
-            schemes.RlcDecoder(window) if scheme == SCHEME_RLC else None
-        )
+        # Block codes evict by block number; their decoder's window spans all ids.
+        self._decoder = schemes.RlcDecoder(window if scheme == SCHEME_RLC else 1 << 32)
 
     def on_source_symbol(
         self, raw_id: int, packet_bytes: bytes
@@ -400,15 +387,17 @@ class ReceiverFec:
             )
         symbol = frame_symbol(packet_bytes, self.symbol_size)
         if self.scheme == SCHEME_RLC:
-            return self._emit(self._rlc.add_source(raw_id, symbol))
+            return self._emit(self._decoder.add_source(raw_id, symbol))
         block_no, offset = split_block_source_id(raw_id)
-        state = self._block(block_no)
-        if state is None:
+        shape = self._shape(block_no)
+        if shape is None:
             return []
-        if state.nss is not None and offset >= state.nss:
-            raise MalformedFrame(f"source {offset} of a block of {state.nss} sources")
-        state.sources.setdefault(offset, symbol)
-        return self._attempt_block(block_no, state)
+        nss, nrs = shape
+        if not nrs:
+            self._blocks[block_no] = (max(nss, offset + 1), 0)
+        elif offset >= nss:
+            raise MalformedFrame(f"source {offset} of a block of {nss} sources")
+        return self._emit(self._decoder.add_source(raw_id, symbol), block_no)
 
     def on_fec_frame(self, frame: FecFrame) -> list[tuple[int, bytes]]:
         """Feed one repair frame chunk; returns newly recovered packets.
@@ -420,38 +409,43 @@ class ReceiverFec:
             raise MalformedFrame("repair symbol over zero source symbols")
         hi, lo = split_repair_id(frame.repair_id)
         if self.scheme == SCHEME_RLC:
-            if frame.nss > self._rlc.window:
+            if frame.nss > self._decoder.window:
                 raise MalformedFrame(
-                    f"repair over {frame.nss} sources, window {self._rlc.window}"
+                    f"repair over {frame.nss} sources, window {self._decoder.window}"
                 )
             symbol = self._assemble(frame)
             if symbol is None:
                 return []
-            return self._emit(self._rlc.add_repair(hi, frame.nss, lo, symbol))
+            return self._emit(self._decoder.add_repair(hi, frame.nss, lo, symbol))
         block_no, index = split_block_source_id(hi)
         if index >= frame.nrs or frame.nss + frame.nrs > 256:
             raise MalformedFrame(
                 f"repair {index} of a block of {frame.nss} sources and {frame.nrs} repairs"
             )
-        state = self._block(block_no)
-        if state is None:
+        shape = self._shape(block_no)
+        if shape is None:
             return []
-        if state.nss is None:  # the first repair pins the block's code shape
-            if max(state.sources, default=-1) >= frame.nss:
+        if not shape[1]:  # the first repair pins the block's code shape
+            if shape[0] > frame.nss:
                 raise MalformedFrame(
                     f"block {block_no} holds a source past its {frame.nss} sources"
                 )
-            state.nss, state.nrs = frame.nss, frame.nrs
-        elif (state.nss, state.nrs) != (frame.nss, frame.nrs):
+            shape = self._blocks[block_no] = (frame.nss, frame.nrs)
+        elif shape != (frame.nss, frame.nrs):
             raise MalformedFrame(
-                f"block {block_no} announced as ({state.nss}, {state.nrs}) "
-                f"sources and repairs, then as ({frame.nss}, {frame.nrs})"
+                f"block {block_no} announced as {shape} sources and repairs, "
+                f"then as ({frame.nss}, {frame.nrs})"
             )
         symbol = self._assemble(frame)
         if symbol is None:
             return []
-        state.repairs.setdefault(index, symbol)
-        return self._attempt_block(block_no, state)
+        nss, nrs = shape
+        if self.scheme == SCHEME_XOR:
+            row = [1] * nss
+        else:
+            row = schemes.rs_generator(nss + nrs, nss)[nss + index].tolist()
+        ids = range(block_no << 8, (block_no << 8) + nss)
+        return self._emit(self._decoder.add_equation(ids, row, symbol), block_no)
 
     # -- internals --------------------------------------------------------
 
@@ -496,55 +490,31 @@ class ReceiverFec:
             )
         return np.frombuffer(payload, dtype=np.uint8)
 
-    def _block(self, block_no: int) -> Optional[_BlockState]:
-        """The state of ``block_no``, made on first use; None once the block
-        completed or fell ``BLOCK_BACKLOG`` blocks behind the newest."""
+    def _shape(self, block_no: int) -> Optional[tuple[int, int]]:
+        """``block_no``'s ``_blocks`` entry; None once it is complete or evicted."""
         if block_no > self._newest_block:
             self._newest_block = block_no
             floor = block_no - self.BLOCK_BACKLOG
             for bn in [b for b in self._blocks if b <= floor]:
-                del self._blocks[bn]
+                shape = self._blocks.pop(bn)
+                if shape:  # incomplete: its sources leave the decoder
+                    self._decoder.forget(range(bn << 8, (bn << 8) + shape[0]))
         elif block_no <= self._newest_block - self.BLOCK_BACKLOG:
             return None
-        if block_no not in self._blocks:
-            self._blocks[block_no] = _BlockState()
-        return self._blocks[block_no]
+        return self._blocks.setdefault(block_no, (0, 0))
 
-    def _attempt_block(
-        self, block_no: int, state: _BlockState
+    def _emit(
+        self, pairs: list[tuple[int, np.ndarray]], block_no: Optional[int] = None
     ) -> list[tuple[int, bytes]]:
-        if state.nss is None:
-            return []  # code shape unknown until a repair frame arrives
-        k = state.nss
-        missing = [o for o in range(k) if o not in state.sources]
-        if not missing:
-            self._blocks[block_no] = None
-            return []
-        if len(state.sources) + len(state.repairs) < k:
-            return []
-        if self.scheme == SCHEME_XOR:
-            if len(missing) > 1 or not state.repairs:
-                return []
-            received = [state.sources.get(o) for o in range(k)]
-            solved = {missing[0]: schemes.xor_recover(
-                received, next(iter(state.repairs.values()))
-            )}
-        else:
-            params = BlockCodeParams(k + state.nrs, k)
-            try:
-                solved = schemes.rs_decode(state.sources, state.repairs, params)
-            except schemes.Unrecoverable:
-                return []
-        out = []
-        for offset in sorted(solved):
-            state.sources[offset] = solved[offset]
-            out.append((block_source_id(block_no, offset), solved[offset]))
-        if len(state.sources) == k:
-            self._blocks[block_no] = None
-        return self._emit(out)
-
-    def _emit(self, pairs: list[tuple[int, np.ndarray]]) -> list[tuple[int, bytes]]:
-        """Unframe each rebuilt symbol back into its packet."""
+        """Unframe each rebuilt symbol back into its packet.  A pinned block
+        ``block_no`` whose sources are all held completes, and its symbols
+        leave the decoder."""
+        shape = self._blocks.get(block_no)
+        if shape and shape[1]:
+            ids = range(block_no << 8, (block_no << 8) + shape[0])
+            if all(map(self._decoder.symbols.__contains__, ids)):
+                self._blocks[block_no] = None
+                self._decoder.forget(ids)
         out = []
         for raw_id, symbol in pairs:
             try:

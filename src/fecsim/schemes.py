@@ -2,6 +2,11 @@
 Reed-Solomon block code, and a sliding-window random linear code (RLC).
 Lane interleaving of XOR blocks is scheduled in :mod:`fecsim.framework`.
 
+All three are linear codes: a repair is a coefficient row (ones, an RS
+generator row, or seeded) times its sources, so one decoder,
+:class:`RlcDecoder`, solves every code's repairs as equations;
+:func:`xor_recover` and :func:`rs_decode` stay as closed-form references.
+
 All schemes operate on fixed-width symbols.  A symbol is the original
 packet bytes behind a 2-byte big-endian true-length prefix, zero padded
 to the configured symbol width, so recovery reproduces variable-length
@@ -12,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -248,31 +253,47 @@ def rlc_encode(
     return RepairSymbol(gf256.matmul(coeffs[None, :], window)[0], seed)
 
 
-@dataclass
+@dataclass(eq=False)
 class _Equation:
-    window_start: int
-    coeffs: dict[int, int]  # unknown sequence offset -> coefficient
-    residual: np.ndarray
+    start: int  # its lowest source id; the horizon drops it once past
+    coeffs: dict[int, int]  # unknown source id -> coefficient
+    known: dict[int, tuple[int, np.ndarray]]  # known id -> (coefficient, symbol)
+    payload: np.ndarray
+
+    def residual(self, scale: int) -> np.ndarray:
+        """``scale`` times the payload minus the known symbols' share."""
+        terms = [*self.known.values(), (1, self.payload)]
+        row = [gf256.gf_mul(scale, coeff) for coeff, _ in terms]
+        return gf256.matmul([row], [sym for _, sym in terms])[0]
 
 
 class RlcDecoder:
-    """Incremental sliding-window decoder.
+    """Incremental decoder for every code: each repair is one linear
+    equation over the source ids it covers.
 
-    Feed received source symbols and repair equations in any order; the
-    decoder substitutes known symbols into pending equations and solves
-    whenever a connected group of losses is covered by enough equations.
+    RLC repairs arrive through :meth:`add_repair`; XOR and Reed-Solomon
+    repairs are fed by :class:`fecsim.framework.ReceiverFec` through
+    :meth:`add_equation`, as rows of ones or of the RS generator.  The
+    class keeps the name of its first code: perfbench's layer tracer, the
+    demos and the acceptance tests reach it by that name.
+
+    Feed received source symbols and equations in any order; after each
+    arrival the decoder solves every connected group of unknowns the
+    arrival changed, once the group holds as many equations as unknowns.
     State older than :data:`RLC_EVICT_WINDOWS` coding windows behind the
-    newest sequence offset is discarded.
+    newest source id is discarded.
     """
 
     def __init__(self, window: int):
         if window < 1:
             raise InvalidParams(f"window must be >= 1, got {window}")
         self.window = window
-        self._symbols: dict[int, np.ndarray] = {}
-        self._equations: list[_Equation] = []
+        self.symbols: dict[int, np.ndarray] = {}  # received or recovered
+        self._equations: dict[_Equation, None] = {}  # pending, oldest first
+        self._holders: dict[int, list[_Equation]] = {}  # unknown -> its equations
+        self._touched: set[int] = set()  # unknowns whose group changed
         self._newest = -1
-        self._horizon = 0  # the oldest offset kept; older repairs are dropped
+        self._horizon = 0  # the oldest id kept; older repairs are dropped
         self._since_sweep = 0
 
     # -- feeding ------------------------------------------------------------
@@ -281,11 +302,17 @@ class RlcDecoder:
         self, seq: int, symbol: np.ndarray
     ) -> list[tuple[int, np.ndarray]]:
         """Register a received source symbol; returns newly recovered ones."""
-        if seq in self._symbols or seq < self._horizon:
+        if seq in self.symbols or seq < self._horizon:
             return []
-        self._substitute(seq, np.asarray(symbol, dtype=np.uint8))
+        symbol = self.symbols[seq] = np.asarray(symbol, dtype=np.uint8)
+        for eq in self._holders.pop(seq, ()):
+            eq.known[seq] = (eq.coeffs.pop(seq), symbol)
+            if eq.coeffs:
+                self._touched.update(eq.coeffs)
+            else:
+                del self._equations[eq]
         self._advance(seq)
-        return self._try_solve()
+        return self._solve() if self._touched else []
 
     def add_repair(
         self, window_start: int, length: int, seed: int, payload: np.ndarray
@@ -294,101 +321,104 @@ class RlcDecoder:
         returns newly recovered source symbols in sequence order."""
         if length < 1:
             raise InvalidParams(f"repair window length must be >= 1, got {length}")
-        known_coeffs: list[int] = []
-        known: list[np.ndarray] = []
+        ids = range(window_start, window_start + length)
+        if all(map(self.symbols.__contains__, ids)):  # no unknown: skip the expansion
+            self._advance(ids[-1])
+            return []
+        return self.add_equation(ids, rlc_coefficients(seed, length).tolist(), payload)
+
+    def add_equation(
+        self, ids: Sequence[int], coeffs: Sequence[int], payload: np.ndarray
+    ) -> list[tuple[int, np.ndarray]]:
+        """Register a repair whose ``payload`` is the sum of ``coeffs[i]``
+        times the symbol of ``ids[i]``, ids ascending and coefficients
+        nonzero; returns newly recovered source symbols in id order.  A
+        repair with an unknown below the horizon is dropped."""
+        known: dict[int, tuple[int, np.ndarray]] = {}
         unknowns: dict[int, int] = {}
-        stale = False
-        for seq, coeff in enumerate(rlc_coefficients(seed, length).tolist(), window_start):
-            sym = self._symbols.get(seq)
+        for seq, coeff in zip(ids, coeffs):
+            sym = self.symbols.get(seq)
             if sym is not None:
-                known_coeffs.append(coeff)
-                known.append(sym)
+                known[seq] = (coeff, sym)
             elif seq < self._horizon:
-                stale = True
+                unknowns = {}
                 break
             else:
                 unknowns[seq] = coeff
-        self._advance(window_start + length - 1)
-        if stale or not unknowns:
+        self._advance(ids[-1])
+        if not unknowns:
             return []
-        # Substitute every known symbol at once: residual = payload - known share.
-        residual = gf256.matmul([known_coeffs + [1]], known + [payload])[0]
-        self._equations.append(_Equation(window_start, unknowns, residual))
-        return self._try_solve()
+        eq = _Equation(ids[0], unknowns, known, payload)
+        self._equations[eq] = None
+        for seq in unknowns:
+            self._holders.setdefault(seq, []).append(eq)
+        self._touched.update(unknowns)
+        recovered = self._solve()
+        if eq.start < self._horizon and eq in self._equations:
+            self._drop([eq])  # it served this arrival only
+        return recovered
+
+    def forget(self, ids: range) -> None:
+        """Drop the symbols of ``ids`` and the equations starting there."""
+        held = ids if len(ids) < len(self.symbols) else [s for s in self.symbols if s in ids]
+        for seq in held:
+            self.symbols.pop(seq, None)
+        self._drop([eq for eq in self._equations if eq.start in ids])
 
     # -- internals ----------------------------------------------------------
 
-    def _substitute(self, seq: int, symbol: np.ndarray) -> None:
-        self._symbols[seq] = symbol
-        remaining = []
-        for eq in self._equations:
-            coeff = eq.coeffs.pop(seq, None)
-            if coeff is not None:
-                gf256.addmul_row(eq.residual, coeff, symbol)
-            if eq.coeffs:
-                remaining.append(eq)
-        self._equations = remaining
+    def _drop(self, eqs: Iterable[_Equation]) -> None:
+        for eq in eqs:
+            del self._equations[eq]
+            for seq in eq.coeffs:
+                self._holders[seq].remove(eq)
+                if not self._holders[seq]:
+                    del self._holders[seq]
+            self._touched.update(eq.coeffs)
 
-    def _try_solve(self) -> list[tuple[int, np.ndarray]]:
+    def _solve(self) -> list[tuple[int, np.ndarray]]:
+        """Solve each group of unknowns, joined by shared equations, that
+        holds a touched unknown and as many equations as unknowns."""
         recovered: list[tuple[int, np.ndarray]] = []
-        for component, eqs in self._components():
-            if len(eqs) < len(component):
+        while self._touched:
+            seq = self._touched.pop()
+            if seq not in self._holders:
+                continue  # known or evicted since it was touched
+            group, eqs, frontier = {seq}, {}, [seq]
+            while frontier:
+                for eq in self._holders[frontier.pop()]:
+                    if eq not in eqs:
+                        eqs[eq] = None
+                        frontier += eq.coeffs.keys() - group
+                        group.update(eq.coeffs)
+            self._touched -= group
+            if len(eqs) < len(group):
                 continue
-            unknowns = sorted(component)
-            index = {seq: i for i, seq in enumerate(unknowns)}
-            rows = np.zeros((len(eqs), len(unknowns)), dtype=np.uint8)
-            rhs = np.zeros((len(eqs), eqs[0].residual.shape[0]), dtype=np.uint8)
-            for i, eq in enumerate(eqs):
-                for seq, coeff in eq.coeffs.items():
-                    rows[i, index[seq]] = coeff
-                rhs[i] = eq.residual
-            try:
-                solved = gf256.solve_linear_system(rows, rhs)
-            except gf256.SingularMatrix:
-                continue
+            unknowns = sorted(group)
+            if len(unknowns) == 1:  # scale the first equation
+                eq = next(iter(eqs))
+                solved = [eq.residual(gf256.gf_inv(eq.coeffs[seq]))]
+            else:
+                rows = [[eq.coeffs.get(seq, 0) for seq in unknowns] for eq in eqs]
+                try:
+                    solved = gf256.solve_linear_system(rows, [eq.residual(1) for eq in eqs])
+                except gf256.SingularMatrix:
+                    continue
+            self._drop(eqs)
             for seq, row in zip(unknowns, solved):
+                self.symbols[seq] = row
                 recovered.append((seq, row))
-        for seq, row in recovered:
-            self._substitute(seq, row)
-        return sorted(recovered)
-
-    def _components(self) -> list[tuple[set[int], list[_Equation]]]:
-        # Group equations by shared unknowns (union-find over sequence offsets).
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for eq in self._equations:
-            seqs = list(eq.coeffs)
-            for seq in seqs:
-                parent.setdefault(seq, seq)
-            root = find(seqs[0])
-            for seq in seqs[1:]:
-                parent[find(seq)] = root
-        groups: dict[int, tuple[set[int], list[_Equation]]] = {}
-        for seq in parent:
-            groups.setdefault(find(seq), (set(), []))[0].add(seq)
-        for eq in self._equations:
-            groups[find(next(iter(eq.coeffs)))][1].append(eq)
-        return list(groups.values())
+        return sorted(recovered, key=lambda pair: pair[0])
 
     def _advance(self, seq: int) -> None:
         if seq > self._newest:
             self._newest = seq
-        horizon = self._newest - RLC_EVICT_WINDOWS * self.window
-        if horizon > self._horizon:
-            self._horizon = horizon
-        # an equation's unknowns all lie at or above its window start
-        self._equations = [
-            eq for eq in self._equations if eq.window_start >= self._horizon
-        ]
+            horizon = seq - RLC_EVICT_WINDOWS * self.window
+            if horizon > self._horizon:
+                self._horizon = horizon
+                # an equation's unknowns all lie at or above its start
+                self._drop([eq for eq in self._equations if eq.start < horizon])
         self._since_sweep += 1
         if self._since_sweep >= 256:
             self._since_sweep = 0
-            dead = [s for s in self._symbols if s < self._horizon - self.window]
-            for s in dead:
-                del self._symbols[s]
+            self.forget(range(self._horizon - self.window))

@@ -4,6 +4,7 @@ import hashlib
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,11 +39,15 @@ from fecsim.schemes import (
     BlockCodeParams,
     ConvolutionalParams,
     InvalidParams,
+    Unrecoverable,
     frame_symbol,
     rlc_encode,
+    rs_decode,
     rs_encode,
     symbol_size_for,
+    unframe_symbol,
     xor_encode,
+    xor_recover,
 )
 from fecsim.rng import splitmix64_mix
 from fecsim.transport import FEC_SYMBOL_SIZE, REPAIR_CHUNK_BUDGET
@@ -686,6 +691,50 @@ def test_rlc_sender_receiver_roundtrip_with_loss():
         assert by_id[raw] == packets[raw]
 
 
+@pytest.mark.parametrize("scheme", [SCHEME_XOR, SCHEME_REED_SOLOMON], ids=["xor", "rs"])
+def test_receiver_recovers_what_the_closed_form_decoders_do(scheme):
+    """For every erasure pattern of one block over its sources and repairs,
+    fed as frames in wire order, ReceiverFec returns exactly the offsets
+    and bytes that ``rs_decode`` or ``xor_recover`` rebuild, and nothing
+    when more symbols are lost than the block has repairs."""
+    rnd = random.Random(41)
+    params = BlockCodeParams(6 if scheme == SCHEME_REED_SOLOMON else 5, 4)
+    k = params.k
+    packets = [random_packet(rnd) for _ in range(k)]
+    sender = make_sender(scheme, params)
+    ids = [push_packet(sender, p) for p in packets]
+    repairs = list(sender.pending)
+    symbols = [frame_symbol(p, SYMBOL) for p in packets]
+    for pattern in range(1 << params.n):
+        lost = [bool(pattern >> i & 1) for i in range(params.n)]
+        sources = {o: symbols[o] for o in range(k) if not lost[o]}
+        held = {
+            i: np.frombuffer(frame.payload, dtype=np.uint8)
+            for i, frame in enumerate(repairs)
+            if not lost[k + i]
+        }
+        if scheme == SCHEME_XOR:
+            missing = [o for o in range(k) if lost[o]]
+            want = {}
+            if held and len(missing) == 1:
+                received = [sources.get(o) for o in range(k)]
+                want = {missing[0]: xor_recover(received, held[0])}
+        else:
+            try:
+                want = rs_decode(sources, held, params)
+            except Unrecoverable:
+                want = {}
+        receiver = ReceiverFec(scheme, SYMBOL)
+        got = []
+        for o in sources:
+            got += receiver.on_source_symbol(ids[o], packets[o])
+        for i in held:
+            got += receiver.on_fec_frame(repairs[i])
+        assert got == [(ids[o], unframe_symbol(want[o])) for o in sorted(want)], lost
+        if sum(lost) > params.repairs:
+            assert got == []
+
+
 def test_xor_sender_receiver_roundtrip_single_loss_per_lane():
     rnd = random.Random(36)
     packets = [random_packet(rnd) for _ in range(8)]
@@ -913,7 +962,7 @@ def test_receiver_state_stays_bounded_over_a_long_stream(code, loss):
             recovered += len(receiver.on_fec_frame(pending))
         sender.pending.clear()
         if i % 1000 == 999:
-            holders = [h for h in (receiver, receiver._rlc) if h is not None]
+            holders = [h for h in (receiver, receiver._decoder) if h is not None]
             sizes = {
                 name: len(value)
                 for holder in holders

@@ -306,6 +306,23 @@ def test_rlc_decoder_evicts_stale_state():
     assert dec.add_repair(0, 4, 9, repair.payload) == []
 
 
+def test_rlc_decoder_recovers_a_group_that_eviction_splits():
+    """Repairs over {1, 2, 3} and twice over {3, 4} join one group of four
+    unknowns and three equations.  Evicting the first splits off {3, 4},
+    which two equations determine: the arrival that evicts recovers them."""
+    rnd = random.Random(16)
+    sources = random_symbols(rnd, 18)
+    dec = RlcDecoder(window=4)
+    got = dec.add_source(0, sources[0])
+    got += dec.add_repair(0, 4, 21, rlc_encode(sources[0:4], 0, 21).payload)
+    for seed in (22, 23):
+        got += dec.add_repair(3, 2, seed, rlc_encode(sources[3:5], 3, seed).payload)
+    got += dec.add_source(17, sources[17])  # the horizon passes offset 0
+    assert [seq for seq, _ in got] == [3, 4]
+    for seq, sym in got:
+        assert np.array_equal(sym, sources[seq])
+
+
 def test_rlc_random_single_loss_trials_recover_within_two_symbols():
     # emission pattern: repair after every k sources, window c
     rnd = random.Random(15)
