@@ -18,7 +18,6 @@ from functools import partial
 from typing import Mapping, Optional, Sequence
 
 from . import experiments as xp
-from .netem import GilbertElliottLoss, UniformLoss
 from .transport import RECOVERED_STRATEGIES, STRATEGY_RECOVERED_FRAME
 
 
@@ -194,15 +193,11 @@ def cmd_fairness(args) -> int:
 
 
 def cmd_losstrace(args) -> int:
-    if args.model == "uniform":
-        if len(args.params) != 1:
-            raise SystemExit("uniform loss takes exactly one parameter: p")
-        model = UniformLoss(args.params[0], seed=args.seed)
-    else:
-        if len(args.params) != 4:
-            raise SystemExit("ge loss takes exactly four parameters: p,r,k,h")
-        p, r, k, h = args.params
-        model = GilbertElliottLoss(p, r, k, h, seed=args.seed)
+    if args.model == "uniform" and len(args.params) != 1:
+        raise SystemExit("uniform loss takes exactly one parameter: p")
+    if args.model == "ge" and len(args.params) != 4:
+        raise SystemExit("ge loss takes exactly four parameters: p,r,k,h")
+    model = xp.LossSpec(args.model, *args.params).make(args.seed)
     with xp.open_output(args.out) as fh:
         for line in xp.loss_trace_lines(model, args.count):
             fh.write(line + "\n")

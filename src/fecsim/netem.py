@@ -264,8 +264,8 @@ class Link:
 class Host:
     """Binds one connection to the event loop: pumps outbound packets, each
     stamped with this host's name and the peer host, and keeps one timer
-    event, carrying its deadline, armed no later than the connection's: a
-    deadline that moved later is re-armed when the armed event fires."""
+    event armed no later than the connection's deadline, which it fires
+    and re-arms; the connection's ``on_timer`` decides what is due."""
 
     def __init__(self, sim: Simulator, conn: Connection, name: str):
         self.sim = sim
@@ -298,9 +298,7 @@ class Host:
         if at != self._timer_at:
             return  # an earlier deadline armed another event
         self._timer_at = None
-        deadline = self.conn.next_timer_us()
-        if deadline is not None and deadline <= self.sim.now_us:
-            self.conn.on_timer(self.sim.now_us)
+        self.conn.on_timer(self.sim.now_us)
         self.pump()
 
 

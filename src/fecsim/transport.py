@@ -13,13 +13,14 @@ them against :func:`pattern_bytes` and refuses any response longer or
 shorter than it requested, the server copies its one-packet request into a
 buffer, and :class:`RecvStream` records only which byte ranges arrived.
 
-Reliability comes from three sender mechanisms (packet-threshold loss
-detection, a hole timer at srtt/8, and a tail loss probe at 2*srtt) plus
-New Reno congestion control.  When FEC is enabled, every packet carrying
-stream data is registered as a source symbol, repair symbols ride in
-their own unprotected packets, and a receiver that repairs a loss can
-acknowledge the packet and report the repair in a Recovered frame so the
-sender still hears the congestion signal without retransmitting.
+Reliability comes from packet-threshold loss detection, two timers and New
+Reno congestion control: ``_hole_deadline`` owns the hole timer (srtt/8),
+``_probe_deadline`` the tail loss probe (2*srtt), and ``on_timer`` acts on
+those due.  When FEC is enabled, every packet carrying stream data is
+registered as a source symbol, repair symbols ride in their own
+unprotected packets, and a receiver that repairs a loss can acknowledge
+the packet and report the repair in a Recovered frame so the sender still
+hears the congestion signal without retransmitting.
 
 One method picks each outbound packet, in this order: a pending probe,
 the handshake reply, a due ACK (after any Recovered frame), then repairs,
@@ -43,11 +44,11 @@ A sent packet leaves the flight one way, ``Connection._retire``, for one
 of four reasons: it is acknowledged; it is declared lost, which queues
 its frame, keyed by packet number, and signals congestion; the peer
 reports it recovered, which signals congestion but resends nothing; or
-the probe abandons it when nothing worth probing is left.  The flight's
-:class:`SentRecord` is the sender's one record of a packet; a hole (in
-flight, below the largest acknowledged) is a record with ``hole_since``
-set.  Holes lead the flight and a loss retires its oldest packet, so
-lost frames wait in ascending packet-number order.
+the probe abandons it when nothing worth probing is left.  The flight is
+the sender's one record of a packet, keyed by its number; a hole (in
+flight, below the largest acknowledged) is a :class:`SentRecord` with
+``hole_since`` set.  Holes lead the flight and a loss retires its oldest
+packet, so lost frames wait in ascending packet-number order.
 
 The receiver keeps the packet numbers it received in a
 :class:`~fecsim.frames.RangeSet` and acknowledges the newest
@@ -55,10 +56,10 @@ The receiver keeps the packet numbers it received in a
 ack-eliciting packet (RFC 9000 section 13.2.2), at once for a duplicate, a
 recovered packet, or a packet that is out of order, carries a handshake
 frame or completes the stream, and otherwise :data:`MAX_ACK_DELAY_US` after
-the first packet it has not acknowledged.  The sender takes an RTT sample
-when an ACK raises the largest acknowledged packet number and newly
-acknowledges a packet in flight, from the newest such packet (RFC 9002
-section 5.1; the largest may be a feedback packet, never in flight).
+the first packet it has not acknowledged (``_ack_due``).  The sender takes
+an RTT sample when an ACK raises the largest acknowledged packet number and
+newly acknowledges a packet in flight, from the newest such packet (RFC
+9002 section 5.1; the largest may be a feedback packet, never in flight).
 :mod:`fecsim.frames` owns the range-list layout (RFC 9000 section 19.3) and
 its one encoder, ``RangeSet.frame``, with the set's cache of packed older
 values.  The sender reads ACK and Recovered frames with one walk, newest
@@ -268,7 +269,6 @@ class NewReno:
 
 @dataclass(slots=True)
 class SentRecord:
-    packet_number: int
     send_time_us: int
     size: int
     frame: object = None  # the stream or handshake frame to resend if lost
@@ -374,7 +374,6 @@ class Connection:
         if role == "client" and not request_size:
             raise ValueError("a client connection needs a request size")
         self.role = role
-        self.config = config
         self.request_size = request_size
         self.stats = Stats()
         self._trace_fn = trace
@@ -598,7 +597,7 @@ class Connection:
             self.stats.peer_recovered_packets += 1
             self._trace("peer_recovered", pn, "")
             # no retransmission needed, but the loss still happened
-            self._on_loss(rec, now)
+            self._on_loss(pn, rec.send_time_us, now)
 
     def _declare_lost(self, pn: int, now: int, reason: str) -> None:
         rec = self._retire(pn)
@@ -606,7 +605,7 @@ class Connection:
         self._trace("lost", pn, reason)
         if rec.frame is not None:
             self._retransmit[pn] = rec.frame
-        self._on_loss(rec, now)
+        self._on_loss(pn, rec.send_time_us, now)
 
     def _retire(self, pn: int) -> SentRecord:
         """Take ``pn`` out of the flight: the one way a packet leaves it,
@@ -615,58 +614,52 @@ class Connection:
         self._bytes_in_flight -= rec.size
         return rec
 
-    def _on_loss(self, rec: SentRecord, now: int) -> None:
+    def _on_loss(self, pn: int, sent_time_us: int, now: int) -> None:
         """The congestion signal of a lost or peer-recovered packet."""
-        if self._cc.on_loss(rec.send_time_us, now):
+        if self._cc.on_loss(sent_time_us, now):
             self.stats.cwnd_reductions += 1
-            self._trace("cwnd_reduce", rec.packet_number, "cwnd=%.0f", self._cc.cwnd)
+            self._trace("cwnd_reduce", pn, "cwnd=%.0f", self._cc.cwnd)
 
     def _check_time_losses(self, now: int) -> None:
-        # The holes lead the flight and open in time order, so the
-        # expired ones come first.
-        threshold = max(1, self._rtt.srtt_us // HOLE_TIME_FRACTION)
-        while self._sent:
-            rec = next(iter(self._sent.values()))
-            if rec.hole_since is None or now - rec.hole_since < threshold:
-                break
-            self._declare_lost(rec.packet_number, now, "time_threshold")
+        while (due := self._hole_deadline()) is not None and due <= now:
+            self._declare_lost(next(iter(self._sent)), now, "time_threshold")
 
     # -- timers -----------------------------------------------------------------
 
+    def _hole_deadline(self) -> Optional[int]:
+        """When the first packet in flight, if a hole, is declared lost.  Holes
+        lead the flight and open in order, so it is the first to expire."""
+        since = next(iter(self._sent.values())).hole_since if self._sent else None
+        if since is None:
+            return None
+        return since + max(1, self._rtt.srtt_us // HOLE_TIME_FRACTION)
+
+    def _probe_deadline(self) -> Optional[int]:
+        if not self._sent or self._tlp_anchor is None:
+            return None
+        return self._tlp_anchor + TLP_SRTT_MULTIPLIER * self._rtt.srtt_us
+
     def next_timer_us(self) -> Optional[int]:
         deadline = self._ack_due
-        if self._sent and self._tlp_anchor is not None:
-            tlp = self._tlp_anchor + TLP_SRTT_MULTIPLIER * self._rtt.srtt_us
-            deadline = tlp if deadline is None else min(deadline, tlp)
-        # the oldest hole, if any, is the first packet in flight
-        since = next(iter(self._sent.values())).hole_since if self._sent else None
-        if since is not None:
-            hole = since + max(1, self._rtt.srtt_us // HOLE_TIME_FRACTION)
-            deadline = hole if deadline is None else min(deadline, hole)
+        for due in (self._hole_deadline(), self._probe_deadline()):
+            if due is not None and (deadline is None or due < deadline):
+                deadline = due
         return deadline
 
     def on_timer(self, now: int) -> None:
         self._check_time_losses(now)
-        if (
-            self._sent
-            and self._tlp_anchor is not None
-            and now >= self._tlp_anchor + TLP_SRTT_MULTIPLIER * self._rtt.srtt_us
-        ):
+        if (due := self._probe_deadline()) is not None and due <= now:
             self._fire_probe(now)
 
     def _fire_probe(self, now: int) -> None:
         newest = next(
-            (rec for rec in reversed(self._sent.values()) if rec.frame is not None), None
+            (pn for pn, rec in reversed(self._sent.items()) if rec.frame is not None), None
         )
         if newest is not None:
-            self._probe = newest.frame
+            self._probe = self._sent[newest].frame
             self.stats.probe_packets += 1
-            self._trace("tlp_probe", newest.packet_number, "resend")
-        elif (
-            self._send_stream is not None
-            and not self._send_stream.fin_sent
-            and self._handshake_done
-        ):
+            self._trace("tlp_probe", newest, "resend")
+        elif self._may_send_new_data():
             self._probe = self._send_stream.next_frame(self._stream_budget)
             self.stats.probe_packets += 1
             self._trace("tlp_probe", None, "new_data")
@@ -728,10 +721,15 @@ class Connection:
             frame = self._retransmit.pop(next(iter(self._retransmit)))
             kind = "stream" if type(frame) is StreamFrame else "hs"
             return self._build(now, [frame], kind, frame, retransmission=True)
-        if stream is not None and not stream.fin_sent and self._handshake_done:
+        if self._may_send_new_data():
             frame = stream.next_frame(self._stream_budget)
             return self._build(now, [frame], "stream", frame)
         return None
+
+    def _may_send_new_data(self) -> bool:
+        """Whether new stream data may go out, the congestion window aside."""
+        stream = self._send_stream
+        return stream is not None and not stream.fin_sent and self._handshake_done
 
     def _ack_frame(self) -> AckFrame:
         # Old gaps are final on a FIFO path: the sender has long since
@@ -759,7 +757,7 @@ class Connection:
         if protect:
             self._sender_fec.commit_source(source_id, data)
         if type(frames[0]) is not AckFrame:  # only a bare ACK elicits none
-            self._sent[pn] = SentRecord(pn, now, len(data), resend)
+            self._sent[pn] = SentRecord(now, len(data), resend)
             self._bytes_in_flight += len(data)
             self._tlp_anchor = now
         if retransmission:

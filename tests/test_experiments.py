@@ -367,7 +367,8 @@ def test_fairness_run_smoke(monkeypatch):
 def test_monitored_contention_run_equals_an_unwatched_one(monkeypatch, background):
     """The transfer monitor holds its invariants over all four connections
     of a contention run whose queue drops packets, a repair-sending
-    background's client rebuilds some of its dropped packets, and watching
+    background's client rebuilds some of its dropped packets and reports
+    them in Recovered frames only under ``recovered_frame``, and watching
     the run changes nothing."""
     shrink_fairness(monkeypatch)
     monkeypatch.setattr(xp, "FAIRNESS_QUEUE_PACKETS", 8)
@@ -385,6 +386,8 @@ def test_monitored_contention_run_equals_an_unwatched_one(monkeypatch, backgroun
     assert len(monitor.packets) == 4 and all(monitor.packets.values())
     if background != "baseline":
         assert bg_client.stats.recovered_packets > 0
+    reported = monitor.recovered_frames[bg_client]
+    assert reported > 0 if background == "recovered_frame" else reported == 0
 
 
 def test_fairness_run_rejects_bad_inputs():
@@ -561,6 +564,24 @@ def test_cli_losstrace_uniform_reproducible(capsys):
     cli_main(["losstrace", "--model", "uniform", "--params", "0.5", "--count", "8"])
     assert capsys.readouterr().out == first
     assert len(first.splitlines()) == 8
+
+
+LOSSTRACE_SHA256 = {
+    ("uniform", "0.1"): "0214329290ed56f9696ce813af51089a20951f201839281b7eee903bf11fa18d",
+    ("ge", "0.1,0.3,1,0"): "25f692776f4eade1c35ff2f7a8a65dc8a567b64abc5e6c841d661a9feae5d95a",
+}
+
+
+@pytest.mark.parametrize("model, params", LOSSTRACE_SHA256)
+def test_cli_losstrace_bytes_are_pinned(capsys, model, params):
+    """The decision sequence ``fecsim losstrace`` prints at a fixed seed and
+    count, against the sha256 recorded when it was last changed on purpose."""
+    cli_main([
+        "losstrace", "--model", model, "--params", params,
+        "--seed", "5", "--count", "400",
+    ])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == LOSSTRACE_SHA256[model, params]
 
 
 def test_cli_fairness_scaled(monkeypatch, tmp_path):

@@ -1,6 +1,7 @@
 """Transport state machine: congestion control, loss detection, recovery
 signaling, stream reassembly."""
 
+import dataclasses
 import math
 import tracemalloc
 from itertools import accumulate, permutations
@@ -665,7 +666,7 @@ def server_with_flight(traces):
         trace=lambda ev, pn, detail: traces.append((ev, pn, detail)),
     )
     for pn in range(1, FLIGHT + 1):
-        srv._sent[pn] = SentRecord(pn, pn * 100, MAX_PACKET_SIZE)
+        srv._sent[pn] = SentRecord(pn * 100, MAX_PACKET_SIZE)
     srv._next_pn = FLIGHT + 1
     srv._bytes_in_flight = FLIGHT * MAX_PACKET_SIZE
     srv._tlp_anchor = FLIGHT * 100
@@ -754,6 +755,53 @@ def test_hole_timer_and_losses_match_brute_force(acks):
                 lost.append(("lost", pn, "reorder_threshold"))
         expire(now)
         check()
+
+
+@settings(deadline=None)
+@given(
+    acks=st.lists(st.tuples(st.integers(1, 60_000), ack_ranges), max_size=6),
+    framed=st.sets(st.integers(1, FLIGHT)),
+    fire_first=st.booleans(),
+    early=st.integers(1, 10**6),
+)
+# packet 9 is a hole whose frame a premature time loss would queue
+@example(acks=[(1000, [(1, 8), (10, 10)])], framed={9}, fire_first=False, early=1)
+def test_on_timer_before_its_deadline_changes_nothing(acks, framed, fire_first, early):
+    """The host fires ``on_timer`` at every timer event, due or not, so a
+    call at any instant before ``next_timer_us()`` leaves the flight, the
+    retransmission queue, the pending probe, the stats and the window as
+    they were.  The flight has holes, queued frames or a fired probe as
+    the drawn ACKs, resendable frames and first timer make them."""
+    traces = []
+    srv = server_with_flight(traces)
+    for pn in framed:
+        srv._sent[pn].frame = StreamFrame(0, pn * 1000, False, b"x")
+    now = FLIGHT * 100
+    for i, (gap, ranges) in enumerate(acks):
+        now += gap
+        deliver(srv, Packet(i + 1, [AckFrame.of(_flat(ranges))]), now)
+    if fire_first and srv.next_timer_us() is not None:
+        srv.on_timer(srv.next_timer_us())
+    deadline = srv.next_timer_us()
+    if deadline is None:
+        instants = [now + early]
+    else:
+        instants = [max(0, deadline - early), deadline - 1]
+
+    def state():
+        return (
+            [(pn, dataclasses.replace(rec)) for pn, rec in srv._sent.items()],
+            list(srv._retransmit.items()),
+            srv._probe,
+            dataclasses.replace(srv.stats),
+            srv.cwnd,
+        )
+
+    before, traced = state(), len(traces)
+    for t in instants:
+        srv.on_timer(t)
+        assert state() == before
+        assert len(traces) == traced and srv.next_timer_us() == deadline
 
 
 def test_recovered_for_unsent_packet_is_protocol_violation():
@@ -864,7 +912,7 @@ def test_recovered_frame_matches_brute_force(case):
         "server", ConnectionConfig(), trace=lambda ev, pn, detail: traces.append((ev, pn))
     )
     for pn in flight:
-        srv._sent[pn] = SentRecord(pn, pn * 100, 100 + pn)
+        srv._sent[pn] = SentRecord(pn * 100, 100 + pn)
     srv._bytes_in_flight = sum(100 + pn for pn in flight)
     srv._retransmit.update(queue)
     srv._cc._recovery_start = recovery_start
@@ -893,7 +941,7 @@ def test_wide_recovered_frame_costs_no_more_than_its_ranges():
     srv = Connection("server", ConnectionConfig())
     flight = (1, 500_000, 1_000_000)
     for pn in flight:
-        srv._sent[pn] = SentRecord(pn, pn, MAX_PACKET_SIZE)
+        srv._sent[pn] = SentRecord(pn, MAX_PACKET_SIZE)
     srv._bytes_in_flight = len(flight) * MAX_PACKET_SIZE
     srv._retransmit[2] = StreamFrame(0, 0, False, b"x")
     srv._next_pn = 1_000_001
